@@ -6,7 +6,8 @@
 #
 # --quick restricts the sanitizer ctest runs to the monitor + concurrency
 # tests (the multithreaded surface, including the striped MonitorStats
-# counters, the mediated StatsService tree, the subscription channels, the
+# counters, the lock-free decision-cache and node-kind reads, the mediated
+# StatsService tree, the subscription channels, the
 # cooperative-cancellation paths, the fault-injection suites, the
 # mediation-ring transport, and the compiled-policy + differential-fuzz
 # suites) plus the policy round-trip tests; the default runs everything
@@ -30,6 +31,8 @@
 #                    the benchmark library + kernel support them; the gate
 #                    prefers that metric and falls back to median cpu_time)
 #   BENCH_f11.json   bench_f11_parallel results from the release build
+#                    (ci/check_bench_f11.py requires cached checks at 4
+#                    threads >= 1.5x one thread; skipped below 4 CPUs)
 #   BENCH_f12.json   bench_f12_subscription results (publish fan-out cost +
 #                    multi-sink audit drain; ci/check_bench_f12.py requires
 #                    the publisher ~flat 1->64 subscribers, a 2-sink drain
@@ -75,7 +78,7 @@ run_ctest() {
   local dir="$1"
   if [[ "$QUICK" == 1 ]]; then
     (cd "$dir" && ctest --output-on-failure -j "$JOBS" \
-        -R "MonitorConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|CompiledPolicy|MediationRing|Shard|${FAULT_RE}")
+        -R "MonitorConcurrency|KernelConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|CompiledPolicy|MediationRing|Shard|${FAULT_RE}")
   else
     (cd "$dir" && ctest --output-on-failure -j "$JOBS")
   fi
@@ -166,7 +169,10 @@ python3 ci/check_bench_f17.py BENCH_f17.json
 echo "== F11: parallel mediation throughput =="
 ./build-release/bench/bench_f11_parallel \
     --benchmark_out=BENCH_f11.json --benchmark_out_format=json \
-    --benchmark_min_time=0.1
+    --benchmark_min_time=0.1 --benchmark_repetitions=3
+
+echo "== F11 gate (cached checks at 4 threads >= 1.5x one thread) =="
+python3 ci/check_bench_f11.py BENCH_f11.json
 
 echo "== F12: subscription fan-out on the publish path =="
 ./build-release/bench/bench_f12_subscription \

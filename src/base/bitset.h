@@ -23,6 +23,12 @@ class DynamicBitset {
   size_t size_bits() const { return bit_count_; }
   size_t size_words() const { return words_.size(); }
 
+  // Number of significant words (ignoring trailing zeros): two sets are
+  // equal iff they agree on this many words.
+  size_t SignificantWords() const;
+  // The i-th 64-bit word; 0 past the end.
+  uint64_t word(size_t i) const { return i < words_.size() ? words_[i] : 0; }
+
   // Accessors tolerate indices past the current size: Test() of an
   // out-of-range bit is false, Set() grows the set.
   void Set(size_t index);
@@ -62,9 +68,6 @@ class DynamicBitset {
 
  private:
   static constexpr size_t kBitsPerWord = 64;
-
-  // Number of significant words (ignoring trailing zeros).
-  size_t SignificantWords() const;
 
   std::vector<uint64_t> words_;
   size_t bit_count_ = 0;

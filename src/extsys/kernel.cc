@@ -87,8 +87,8 @@ StatusOr<NodeId> Kernel::RegisterProcedure(std::string_view path, PrincipalId ow
 }
 
 Status Kernel::SetProcedureHandler(NodeId node, HandlerFn handler) {
-  const Node* n = name_space_.Get(node);
-  if (n == nullptr || n->kind != NodeKind::kProcedure) {
+  NodeKind kind;
+  if (!name_space_.KindOf(node, &kind) || kind != NodeKind::kProcedure) {
     return NotFoundError("not a live procedure node");
   }
   procedures_[node.value] = std::move(handler);
@@ -169,11 +169,13 @@ StatusOr<Value> Kernel::InvokeNode(Subject& subject, NodeId node, Args args,
     return DeadlineExceededError(
         StrFormat("deadline expired before invoking '%s'", name_space_.PathOf(node).c_str()));
   }
-  const Node* n = name_space_.Get(node);
-  if (n == nullptr) {
+  // Lock-free: a node's kind never changes, so no tree lock (and no
+  // borrowed Node pointer) is needed to pick the dispatch route.
+  NodeKind kind;
+  if (!name_space_.KindOf(node, &kind)) {
     return NotFoundError("node vanished");
   }
-  if (n->kind == NodeKind::kInterface) {
+  if (kind == NodeKind::kInterface) {
     // An extended service: select the right extension for this caller,
     // skipping quarantined ones so selection falls through to the next-best
     // healthy handler.
@@ -323,8 +325,13 @@ StatusOr<ExtensionId> Kernel::LoadExtension(const ExtensionManifest& manifest,
                                              spec.interface_path.c_str(),
                                              decision.detail.c_str()));
     }
-    const Node* target_node = name_space_.Get(target);
-    if (target_node->kind != NodeKind::kInterface) {
+    NodeKind kind;
+    if (!name_space_.KindOf(target, &kind)) {
+      rollback();
+      return NotFoundError(
+          StrFormat("link failure: export '%s' vanished", spec.interface_path.c_str()));
+    }
+    if (kind != NodeKind::kInterface) {
       rollback();
       return FailedPreconditionError(
           StrFormat("'%s' is not an extensible interface", spec.interface_path.c_str()));

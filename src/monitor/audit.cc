@@ -817,8 +817,7 @@ void AuditLog::Clear() {
   head_ = 0;
   // next_sequence_ deliberately survives: resetting it would reissue ids
   // already written to rotated NDJSON files, breaking dedup by `seq`.
-  total_checks_.store(0, std::memory_order_relaxed);
-  total_denials_.store(0, std::memory_order_relaxed);
+  counters_.Reset();
   dropped_.store(0, std::memory_order_relaxed);
   sink_dropped_.store(0, std::memory_order_relaxed);
 }

@@ -4,11 +4,13 @@
 // Experiment F7 measures the cost of each policy.
 //
 // Thread safety: Record()/Count() may be called from any number of checking
-// threads. The counters are lock-free atomics, so the hot allow path (under
-// the default denials-only policy) never takes a lock; records that the
-// policy retains go into a bounded ring — many producers serialize briefly
-// on the ring mutex, the (single) consumer drains via records()/Query(),
-// and the oldest record is overwritten once the ring is full.
+// threads. The check/denial counters are striped per thread
+// (src/base/thread_stripe.h), so the hot allow path (under the default
+// denials-only policy) takes no lock and writes no shared cache line;
+// records that the policy retains go into a bounded ring — many producers
+// serialize briefly on the ring mutex, the (single) consumer drains via
+// records()/Query(), and the oldest record is overwritten once the ring is
+// full.
 //
 // Sink I/O never runs under the ring mutex. Without a drain, the recording
 // thread invokes the sink on a copy of the record after releasing the ring
@@ -40,6 +42,7 @@
 
 #include "src/base/rng.h"
 #include "src/base/status.h"
+#include "src/base/thread_stripe.h"
 #include "src/dac/access_mode.h"
 #include "src/naming/namespace.h"
 #include "src/principal/principal.h"
@@ -314,22 +317,23 @@ class AuditLog {
   // back-to-back by one thread. Consumes `records`.
   void RecordBatch(std::vector<AuditRecord> records);
 
-  // Maintains counters without retaining a record. Lock-free.
+  // Maintains counters without retaining a record. Lock-free, and writes
+  // only the calling thread's counter stripe.
   void Count(bool allowed) {
-    total_checks_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kChecks);
     if (!allowed) {
-      total_denials_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(kDenials);
     }
   }
 
   // Batched Count: `checks` decisions of which `denials` denied, in two
-  // fetch_adds total. For batch paths whose records the policy discards.
+  // stripe bumps total. For batch paths whose records the policy discards.
   void CountBatch(uint64_t checks, uint64_t denials) {
     if (checks != 0) {
-      total_checks_.fetch_add(checks, std::memory_order_relaxed);
+      counters_.Add(kChecks, checks);
     }
     if (denials != 0) {
-      total_denials_.fetch_add(denials, std::memory_order_relaxed);
+      counters_.Add(kDenials, denials);
     }
   }
 
@@ -449,8 +453,8 @@ class AuditLog {
   // Retained records matching a predicate, oldest first.
   std::vector<AuditRecord> Query(const std::function<bool(const AuditRecord&)>& pred) const;
 
-  uint64_t total_checks() const { return total_checks_.load(std::memory_order_relaxed); }
-  uint64_t total_denials() const { return total_denials_.load(std::memory_order_relaxed); }
+  uint64_t total_checks() const { return counters_.Sum(kChecks); }
+  uint64_t total_denials() const { return counters_.Sum(kDenials); }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   // Discards the retained ring and zeroes the counters. Sequence numbers are
@@ -495,8 +499,8 @@ class AuditLog {
 
   size_t capacity_;
   std::atomic<AuditPolicy> policy_{AuditPolicy::kDenialsOnly};
-  std::atomic<uint64_t> total_checks_{0};
-  std::atomic<uint64_t> total_denials_{0};
+  enum Counter : size_t { kChecks, kDenials, kCounterCount };
+  StripedCounters<kCounterCount> counters_;
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint64_t> sink_dropped_{0};
 

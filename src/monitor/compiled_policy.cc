@@ -34,7 +34,7 @@ StatusOr<std::shared_ptr<const CompiledPolicy>> CompiledPolicy::Build(
     for (size_t p = 0; p < cp->principal_count_; ++p) {
       closures[p] = principals.Closure(PrincipalId{static_cast<uint32_t>(p)});
     }
-    cp->dac_.assign(cells, 0);
+    cp->dac_ = PageArray<uint16_t>(cells);
     Acl acl;
     for (size_t a = 0; a < acl_count; ++a) {
       if (!acls.CopyAcl(static_cast<AclStore::AclRef>(a), &acl)) {

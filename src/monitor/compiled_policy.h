@@ -43,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/page_array.h"
 #include "src/base/status.h"
 #include "src/dac/acl.h"
 #include "src/mac/flow_policy.h"
@@ -130,8 +131,11 @@ class CompiledPolicy {
   // (acl_count + 1) rows × principal_count columns; row acl_count is
   // all-zero and absorbs dangling ACL refs (they evaluate like an empty
   // ACL, exactly as AclStore::Evaluate treats a bad ref). Cell = allowed
-  // mode mask | denied mode mask << 8.
-  std::vector<uint16_t> dac_;
+  // mode mask | denied mode mask << 8. Several MB at the generated
+  // benchmark policy's size and rebuilt on every recompile, so it gets pages
+  // of its own that go back to the system when the tables are dropped (see
+  // src/base/page_array.h).
+  PageArray<uint16_t> dac_;
   size_t principal_count_ = 0;
   std::shared_ptr<const DominanceMatrix> matrix_;
   // class_count × class_count; [subject_id * n + object_id] = allowed-mode

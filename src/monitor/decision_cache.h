@@ -12,14 +12,28 @@
 // leaves other shards' entries valid; the domain field keeps the two regimes
 // from ever validating against each other's numerically equal stamps.
 //
-// The table is direct-mapped (power-of-two slots, overwrite on collision)
-// and sharded: the key hash selects a shard, each shard owns a disjoint
-// stripe of slots under its own lock, so concurrent Check() calls on
-// different shards never contend. Slots store the *full* key — wide
-// principal/node ids and the complete SecurityClass, not just its hash — so
-// a hash collision can never return another subject's cached decision
-// (slot matching by hash alone was a soundness bug; see
-// DecisionCacheTest.HashCollidingClassesDoNotAlias).
+// The table is direct-mapped (power-of-two slots, overwrite on collision).
+// Slots store the *full* key — principal and node ids, the mode bits, the
+// subject's level and its category words, not just a hash — so a hash
+// collision can never return another subject's cached decision (slot
+// matching by hash alone was a soundness bug; see
+// DecisionCacheTest.HashCollidingClassesDoNotAlias). The category words are
+// stored inline, kInlineCategoryWords of them; a subject whose category set
+// needs more significant words bypasses the cache entirely (every probe is a
+// miss, every insert is dropped) and is decided by the compiled or
+// interpreted tier, so full-key equality holds without a heap-backed key.
+//
+// Lookups take no lock and write nothing shared. Each slot carries a
+// sequence word (a seqlock): writers make it odd, store the key, stamps and
+// decision as atomic words (release), and make it even again; a reader
+// loads the sequence, the words (acquire), and the sequence again, and
+// trusts what it read only if the two sequence loads are equal and even. A
+// torn or in-progress slot reads as a miss, which is always sound. Writers
+// — Insert, Clear, and the vacate step of a stale probe — serialize on the
+// mutex of the slot's shard (the key hash selects the shard; each shard
+// owns a disjoint stripe of slots). The hit/miss/stale counters are striped per thread
+// (src/base/thread_stripe.h), so a cache hit touches no cache line another
+// thread writes.
 //
 // Counter invariant: every Lookup() counts exactly one of {hit, miss}. A
 // probe that finds a matching key with stale stamps counts as a miss AND as
@@ -33,9 +47,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "src/base/shard.h"
+#include "src/base/thread_stripe.h"
 #include "src/dac/access_mode.h"
 #include "src/mac/security_class.h"
 #include "src/monitor/audit.h"
@@ -93,7 +107,13 @@ class DecisionCache {
     DenyReason reason = DenyReason::kNone;
   };
 
-  // Probes the cache; returns true and fills `out` on a valid hit.
+  // Category words a slot stores inline (256 categories). Subjects with a
+  // wider category set are never cached.
+  static constexpr size_t kInlineCategoryWords = 4;
+
+  // Probes the cache; returns true and fills `out` on a valid hit. Lock-free
+  // unless the probe finds its key with stale stamps, in which case it
+  // vacates the slot under the shard lock.
   bool Lookup(const Subject& subject, NodeId node, AccessModeSet modes,
               const CacheStamps& current, CachedDecision* out);
 
@@ -117,45 +137,52 @@ class DecisionCache {
   // Completed-Clear counter; see the epoch-carrying Insert overload.
   uint64_t clear_epoch() const { return clear_epoch_.load(std::memory_order_acquire); }
 
-  // Counters are kept per shard (updated under the shard lock the probe
-  // already holds, so the hot path shares no counter cache line across
-  // shards) and summed here.
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t stale_hits() const;
+  // Per-thread striped counters, summed here.
+  uint64_t hits() const { return counters_.Sum(kHits); }
+  uint64_t misses() const { return counters_.Sum(kMisses); }
+  uint64_t stale_hits() const { return counters_.Sum(kStaleHits); }
   size_t slot_count() const { return shard_count_ * slots_per_shard_; }
   size_t shard_count() const { return shard_count_; }
 
  private:
+  static constexpr size_t kStampWords = 5;
+
+  // Every field is an atomic word so the lock-free reader never races a
+  // writer in the language sense; `seq` makes the words mutually consistent.
   struct Slot {
-    bool occupied = false;
-    uint64_t key_hash = 0;
-    // Full key: ids stored at 64 bits (wider than today's 32-bit id types,
-    // so id growth can't silently reintroduce truncation) plus the complete
-    // subject class.
-    uint64_t principal = 0;
-    uint64_t node = 0;
-    uint64_t modes = 0;
-    SecurityClass subject_class;
-    CacheStamps stamps;
-    CachedDecision decision;
+    std::atomic<uint64_t> seq{0};   // odd while a writer is mid-update
+    std::atomic<uint64_t> ids{0};   // principal << 32 | node
+    std::atomic<uint64_t> meta{0};  // occupied, mode bits, level, domain, decision
+    std::atomic<uint64_t> categories[kInlineCategoryWords] = {};
+    // namespace, ACL, membership, label, policy stamps (CacheStamps order).
+    std::atomic<uint64_t> stamps[kStampWords] = {};
   };
 
-  struct Shard {
+  struct alignas(64) ShardLock {
     std::mutex mu;
-    std::vector<Slot> slots;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t stale_hits = 0;
   };
+
+  enum Counter : size_t { kHits, kMisses, kStaleHits, kCounterCount };
+
+  static uint64_t KeyHash(const Subject& subject, NodeId node, AccessModeSet modes);
+  // True iff the subject's category set fits the inline key words.
+  static bool Cacheable(const Subject& subject) {
+    return subject.security_class.categories().SignificantWords() <= kInlineCategoryWords;
+  }
+  // The slot a key maps to, and the shard whose lock guards it.
+  Slot& SlotFor(uint64_t hash) {
+    return slots_[(hash & shard_mask_) * slots_per_shard_ + ((hash >> shard_bits_) & slot_mask_)];
+  }
+  std::mutex& LockFor(uint64_t hash) { return shard_locks_[hash & shard_mask_].mu; }
+  // Writer side of the seqlock; the caller holds the slot's shard lock.
+  static void BeginWrite(Slot& slot);
+  static void EndWrite(Slot& slot);
 
   static constexpr size_t kMaxShards = 64;
 
-  static uint64_t KeyHash(const Subject& subject, NodeId node, AccessModeSet modes);
-
-  // Shards are allocated once in the constructor and never resized (Shard
-  // holds a mutex, so the container must never move them).
-  std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<Slot[]> slots_;
+  std::unique_ptr<ShardLock[]> shard_locks_;
+  StripedCounters<kCounterCount> counters_;
   std::atomic<uint64_t> clear_epoch_{0};
   size_t shard_count_ = 1;
   size_t shard_mask_ = 0;

@@ -225,6 +225,13 @@ void MediationRing::WorkerLoop(Shard* shard) {
             decisions[i].allowed ? batch[i].invoke() : decisions[i].ToStatus();
       }
     }
+    // The batch's work is done: end it before any waiter can see a result,
+    // so a waiter that has its completion never finds this batch still in
+    // flight (the next watchdog scan after a wedged batch completes reads
+    // the shard idle).
+    shard->batches.fetch_add(1, std::memory_order_relaxed);
+    shard->heartbeat_ns.store(MonotonicNowNs(), std::memory_order_relaxed);
+    shard->busy.store(false, std::memory_order_release);
     // Pass 2: flush results per client run. Batches drained from one shard
     // are usually dominated by a few hot submitters, so posting each
     // consecutive same-client run under ONE lock acquisition with ONE
@@ -246,9 +253,6 @@ void MediationRing::WorkerLoop(Shard* shard) {
       }
       i = j;
     }
-    shard->batches.fetch_add(1, std::memory_order_relaxed);
-    shard->heartbeat_ns.store(MonotonicNowNs(), std::memory_order_relaxed);
-    shard->busy.store(false, std::memory_order_release);
     // Credits return only now, after every result is posted: the pool
     // bounds work in flight, so a worker stuck above starves admissions
     // instead of letting the queue churn.

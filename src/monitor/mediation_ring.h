@@ -211,8 +211,10 @@ class MediationRing {
 
   // One shard's worker-liveness view, for the supervisor's watchdog. The
   // heartbeat is stamped at BATCH boundaries (just after a batch is drained
-  // and again when its completions are posted), and `busy` is true only
-  // between those stamps — so "busy for longer than the watchdog's
+  // and again when its results are ready, just before they are posted to
+  // waiters), and `busy` is true only between those stamps — so a waiter
+  // that has its completion never sees that batch in flight, and "busy for
+  // longer than the watchdog's
   // stuck_after bound" means one batch has been in flight that long, not
   // that the shard is merely loaded. A legitimately slow batch keeps its
   // heartbeat fresh at every boundary; only a wedge inside ONE batch (a
@@ -247,8 +249,8 @@ class MediationRing {
     std::thread worker;
     std::atomic<uint64_t> batches{0};
     // Watchdog view: stamped by the worker at batch boundaries (see
-    // ShardHealth). busy is set after a batch is drained and cleared when
-    // its completions have posted.
+    // ShardHealth). busy is set after a batch is drained and cleared just
+    // before its completions are posted.
     std::atomic<uint64_t> heartbeat_ns{0};
     std::atomic<bool> busy{false};
     // Per-shard stall-injection site ("ring.worker.<shard>.batch"),

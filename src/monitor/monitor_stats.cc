@@ -4,28 +4,6 @@
 #include <thread>
 
 namespace xsec {
-namespace {
-
-// Process-wide monotone instance ids make the per-thread slot cache safe
-// against allocator recycling: a new MonitorStats at an old address still
-// gets a fresh id, so stale cache entries can never alias it.
-std::atomic<uint64_t> g_next_instance_id{0};
-
-}  // namespace
-
-MonitorStats::MonitorStats()
-    : instance_id_(g_next_instance_id.fetch_add(1, std::memory_order_relaxed)) {
-  slots_[kSlots].shared = true;
-}
-
-MonitorStats::SlotCache::Entry& MonitorStats::ClaimSlot(SlotCache& cache) {
-  uint32_t index = next_slot_.fetch_add(1, std::memory_order_relaxed);
-  Slot* slot = index < kSlots ? &slots_[index] : &slots_[kSlots];
-  SlotCache::Entry& entry = cache.entries[cache.next_victim];
-  cache.next_victim = (cache.next_victim + 1) % SlotCache::kWays;
-  entry = SlotCache::Entry{instance_id_, slot, 0};
-  return entry;
-}
 
 uint64_t MonotonicNowNs() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -34,19 +12,19 @@ uint64_t MonotonicNowNs() {
 }
 
 void MonitorStats::RecordLatencyNs(uint64_t ns) {
-  Slot& slot = *LocalEntry().slot;
-  Bump(slot, slot.latency_buckets[LatencyBucketIndex(ns)]);
+  size_t stripe = ThreadStripe();
+  counters_.AddAt(stripe, kBucketBase + LatencyBucketIndex(ns), 1);
   // The sample count completes the record (release): a reader that sees it
   // (acquire) also sees the bucket bump, so sum(buckets) >= samples.
-  BumpRelease(slot, slot.latency_samples);
+  counters_.AddAt(stripe, kSamples, 1, std::memory_order_release);
 }
 
 template <typename Fn>
 uint64_t MonitorStats::ReadStable(Fn&& read, uint64_t* generation_out) const {
-  for (;;) {
+  for (int attempt = 0; attempt < kOptimisticReads; ++attempt) {
     uint64_t before = reset_generation_.load(std::memory_order_acquire);
     if ((before & 1) != 0) {
-      std::this_thread::yield();  // a Reset is zeroing the slots
+      std::this_thread::yield();  // a Reset is moving the baselines
       continue;
     }
     uint64_t value = read();
@@ -58,58 +36,48 @@ uint64_t MonitorStats::ReadStable(Fn&& read, uint64_t* generation_out) const {
       return value;
     }
   }
+  // Every Reset holds reset_mu_ while the generation is odd, so under it the
+  // generation is even and stays unchanged for the whole pass. Resets wait
+  // for waiting readers before they take the (unfair) mutex, so a reader
+  // gets it after at most the Reset in progress.
+  readers_waiting_.fetch_add(1, std::memory_order_acq_rel);
+  std::lock_guard<std::mutex> lock(reset_mu_);
+  readers_waiting_.fetch_sub(1, std::memory_order_release);
+  uint64_t generation = reset_generation_.load(std::memory_order_acquire);
+  uint64_t value = read();
+  if (generation_out != nullptr) {
+    *generation_out = generation;
+  }
+  return value;
 }
 
 uint64_t MonitorStats::checks_total() const {
   // Every decision lands in exactly one reason bucket (kNone = allowed), so
   // the total is the sum over reasons — no separate hot-path counter needed.
-  return ReadStable([this] {
-    return Sum([](const Slot& s) {
-      uint64_t total = 0;
-      for (const auto& c : s.by_reason) {
-        total += c.load(std::memory_order_relaxed);
-      }
-      return total;
-    });
-  });
+  return ReadStable([this] { return SumRange(kReasonBase, kDenyReasonCount); });
 }
 
 uint64_t MonitorStats::denied_total() const {
-  return ReadStable([this] {
-    uint64_t total = 0;
-    for (size_t i = 1; i < kDenyReasonCount; ++i) {  // skip kNone (allowed)
-      total += Sum([i](const Slot& s) { return s.by_reason[i].load(std::memory_order_relaxed); });
-    }
-    return total;
-  });
+  // Skip kNone (allowed), reason index 0.
+  return ReadStable([this] { return SumRange(kReasonBase + 1, kDenyReasonCount - 1); });
 }
 
 uint64_t MonitorStats::by_reason(DenyReason reason) const {
-  size_t i = static_cast<size_t>(reason);
-  return ReadStable([this, i] {
-    return Sum([i](const Slot& s) { return s.by_reason[i].load(std::memory_order_relaxed); });
-  });
+  size_t i = kReasonBase + static_cast<size_t>(reason);
+  return ReadStable([this, i] { return counters_.Sum(i); });
 }
 
 uint64_t MonitorStats::by_mode(AccessMode mode) const {
-  unsigned b = static_cast<unsigned>(__builtin_ctz(static_cast<uint32_t>(mode)));
-  return ReadStable([this, b] {
-    return Sum([b](const Slot& s) { return s.by_mode[b].load(std::memory_order_relaxed); });
-  });
+  size_t i = kModeBase + static_cast<unsigned>(__builtin_ctz(static_cast<uint32_t>(mode)));
+  return ReadStable([this, i] { return counters_.Sum(i); });
 }
 
 uint64_t MonitorStats::latency_samples() const {
-  return ReadStable([this] {
-    return Sum([](const Slot& s) { return s.latency_samples.load(std::memory_order_relaxed); });
-  });
+  return ReadStable([this] { return counters_.Sum(kSamples); });
 }
 
 uint64_t MonitorStats::latency_bucket(size_t i) const {
-  return ReadStable([this, i] {
-    return Sum([i](const Slot& s) {
-      return s.latency_buckets[i].load(std::memory_order_relaxed);
-    });
-  });
+  return ReadStable([this, i] { return counters_.Sum(kBucketBase + i); });
 }
 
 uint64_t MonitorStats::LatencyQuantileNs(double q) const {
@@ -188,20 +156,15 @@ MonitorStats::Snapshot MonitorStats::TakeSnapshot() const {
         // visible here release-published its earlier mode/bucket bumps, so
         // pass 2 is guaranteed to see them.
         for (size_t r = 0; r < kDenyReasonCount; ++r) {
-          snap.by_reason[r] = Sum(
-              [r](const Slot& s) { return s.by_reason[r].load(std::memory_order_acquire); });
+          snap.by_reason[r] = counters_.Sum(kReasonBase + r, std::memory_order_acquire);
         }
-        snap.latency_samples = Sum(
-            [](const Slot& s) { return s.latency_samples.load(std::memory_order_acquire); });
+        snap.latency_samples = counters_.Sum(kSamples, std::memory_order_acquire);
         // Pass 2 — the counters those completions published.
         for (size_t m = 0; m < static_cast<size_t>(kAccessModeCount); ++m) {
-          snap.by_mode[m] = Sum(
-              [m](const Slot& s) { return s.by_mode[m].load(std::memory_order_relaxed); });
+          snap.by_mode[m] = counters_.Sum(kModeBase + m);
         }
         for (size_t b = 0; b < kLatencyBuckets; ++b) {
-          snap.latency_buckets[b] = Sum([b](const Slot& s) {
-            return s.latency_buckets[b].load(std::memory_order_relaxed);
-          });
+          snap.latency_buckets[b] = counters_.Sum(kBucketBase + b);
         }
         return uint64_t{0};
       },
@@ -220,21 +183,13 @@ MonitorStats::Snapshot MonitorStats::TakeSnapshot() const {
 void MonitorStats::Reset() {
   // Serialized against other Resets so the generation protocol below is the
   // only writer interleaving readers can observe (two overlapped Resets
-  // could otherwise present an even generation mid-zeroing).
+  // could otherwise present an even generation mid-update).
+  while (readers_waiting_.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
   std::lock_guard<std::mutex> lock(reset_mu_);
   reset_generation_.fetch_add(1, std::memory_order_acq_rel);  // -> odd
-  for (Slot& slot : slots_) {
-    for (auto& c : slot.by_reason) {
-      c.store(0, std::memory_order_relaxed);
-    }
-    for (auto& c : slot.by_mode) {
-      c.store(0, std::memory_order_relaxed);
-    }
-    slot.latency_samples.store(0, std::memory_order_relaxed);
-    for (auto& c : slot.latency_buckets) {
-      c.store(0, std::memory_order_relaxed);
-    }
-  }
+  counters_.Reset();
   reset_generation_.fetch_add(1, std::memory_order_release);  // -> even
 }
 

@@ -13,13 +13,14 @@
 // Thread safety and hot-path cost: a shared fetch_add per counter would put
 // several locked read-modify-writes (~7ns each measured) on every check —
 // far more than the mediation fast path itself costs. Counters are instead
-// striped: each recording thread claims a private cache-line-aligned slot
-// the first time it touches an instance and then increments with plain
-// relaxed load+store pairs (single writer per slot, ~0.4ns each). Threads
-// beyond kSlots share one overflow slot that falls back to fetch_add, so
-// totals stay exact at any thread count. Readers aggregate all slots with
-// relaxed loads. Latency is *sampled* (1 in kSampleEvery checks per thread,
-// per instance) so the two steady_clock reads stay off the common case.
+// one StripedCounters array (src/base/thread_stripe.h): each recording
+// thread writes only the cache-line-aligned slot of its stripe index, with
+// plain relaxed load+store pairs (single writer per slot, ~0.4ns each).
+// Threads beyond kThreadStripes share the overflow slot, which falls back to
+// fetch_add, so totals stay exact at any thread count. Readers aggregate all
+// slots. Latency is *sampled* (1 in kSampleEvery checks per thread, per
+// instance: the sample clock is a counter in the thread's slot) so the two
+// steady_clock reads stay off the common case.
 //
 // Consistency: individual counters are monotone and individually coherent,
 // but two *separate* leaf reads are not mutually consistent. TakeSnapshot()
@@ -27,7 +28,9 @@
 // pass, ordered so that its invariants (allowed + denied == checks_total,
 // sum(by_mode) >= checks_total, sum(latency_buckets) >= latency_samples)
 // hold even under concurrent recording, and it retries around a concurrent
-// Reset() via the reset generation stamp (docs/MODEL.md §11).
+// Reset() via the reset generation stamp (docs/MODEL.md §11). Reset() moves
+// the counters' baselines, never the slots, so a bump racing it cannot
+// resurrect pre-reset counts.
 
 #ifndef XSEC_SRC_MONITOR_MONITOR_STATS_H_
 #define XSEC_SRC_MONITOR_MONITOR_STATS_H_
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <mutex>
 
+#include "src/base/thread_stripe.h"
 #include "src/dac/access_mode.h"
 #include "src/monitor/audit.h"
 
@@ -59,10 +63,8 @@ class MonitorStats {
   // each on a virtualized clock) amortize to well under a nanosecond per
   // check.
   static constexpr uint64_t kSampleEvery = 256;
-  // Threads with a private slot; the rest share the overflow slot.
-  static constexpr size_t kSlots = 32;
 
-  MonitorStats();
+  MonitorStats() = default;
   MonitorStats(const MonitorStats&) = delete;
   MonitorStats& operator=(const MonitorStats&) = delete;
 
@@ -103,20 +105,20 @@ class MonitorStats {
   // what makes TakeSnapshot's sum(by_mode) >= checks_total invariant hold
   // under concurrent recording.
   void RecordDecision(AccessModeSet modes, DenyReason reason) {
-    Slot& slot = *LocalEntry().slot;
+    size_t stripe = ThreadStripe();
     uint32_t bits = modes.bits();
     while (bits != 0) {
-      unsigned b = static_cast<unsigned>(__builtin_ctz(bits));
-      Bump(slot, slot.by_mode[b]);
+      counters_.AddAt(stripe, kModeBase + static_cast<unsigned>(__builtin_ctz(bits)), 1);
       bits &= bits - 1;
     }
-    BumpRelease(slot, slot.by_reason[static_cast<size_t>(reason)]);
+    counters_.AddAt(stripe, kReasonBase + static_cast<size_t>(reason), 1,
+                    std::memory_order_release);
   }
 
   // Thread-local accumulator for batched recording (the mediation-ring
   // worker path): the worker tallies a whole batch of decisions here, then
-  // flushes once with RecordBatch — one slot-cache probe and one release
-  // store per batch instead of one per decision.
+  // flushes once with RecordBatch — one stripe lookup and one release
+  // store per reason per batch instead of one per decision.
   struct BatchCounts {
     uint32_t by_mode[kAccessModeCount] = {};
     uint32_t by_reason[kDenyReasonCount] = {};
@@ -142,28 +144,30 @@ class MonitorStats {
     if (counts.total == 0) {
       return;
     }
-    Slot& slot = *LocalEntry().slot;
+    size_t stripe = ThreadStripe();
     for (size_t m = 0; m < kAccessModeCount; ++m) {
       if (counts.by_mode[m] != 0) {
-        BumpN(slot, slot.by_mode[m], counts.by_mode[m]);
+        counters_.AddAt(stripe, kModeBase + m, counts.by_mode[m]);
       }
     }
     for (size_t r = 0; r < kDenyReasonCount; ++r) {
       if (counts.by_reason[r] != 0) {
-        BumpReleaseN(slot, slot.by_reason[r], counts.by_reason[r]);
+        counters_.AddAt(stripe, kReasonBase + r, counts.by_reason[r], std::memory_order_release);
       }
     }
   }
 
   // True once per kSampleEvery calls on this thread *for this instance*; the
   // caller then times the check and reports it via RecordLatencyNs. The
-  // clock lives in the per-thread slot-cache entry, keyed by instance_id_:
-  // a process-wide thread_local clock would be shared by all live instances
-  // (e.g. the kernel's monitor plus a test's), halving each one's effective
-  // sample rate and phase-correlating which instance gets timed.
+  // clock is this instance's counter in the thread's slot: a process-wide
+  // thread_local clock would be shared by all live instances (e.g. the
+  // kernel's monitor plus a test's), halving each one's effective sample
+  // rate and phase-correlating which instance gets timed.
   bool ShouldSampleLatency() {
-    SlotCache::Entry& entry = LocalEntry();
-    return (entry.sample_clock++ & (kSampleEvery - 1)) == 0;
+    size_t stripe = ThreadStripe();
+    uint64_t tick = counters_.Local(stripe, kSampleClock);
+    counters_.AddAt(stripe, kSampleClock, 1);
+    return (tick & (kSampleEvery - 1)) == 0;
   }
 
   void RecordLatencyNs(uint64_t ns);
@@ -212,120 +216,55 @@ class MonitorStats {
   };
   Snapshot TakeSnapshot() const;
 
-  // Zeroes every counter. Safe against concurrent readers: the reset
-  // generation goes odd for the duration, and readers retry until it is even
-  // and unchanged across their pass. Concurrent *recording* is tolerated but
-  // not synchronized — a decision in flight during the reset may leave a
-  // late increment behind (documented in docs/MODEL.md §11).
+  // Zeroes every counter by moving the baselines (StripedCounters::Reset).
+  // Safe against concurrent readers: the reset generation goes odd for the
+  // duration, and readers retry until it is even and unchanged across their
+  // pass, so a pass never mixes old and new baselines. Concurrent
+  // *recording* is tolerated but not synchronized — a decision in flight
+  // during the reset may land its mode bump before the reset and its reason
+  // bump after it (documented in docs/MODEL.md §11).
   void Reset();
 
  private:
-  // One writer's counters, padded to its own cache line(s). `shared` is set
-  // on the overflow slot only, switching its writers to fetch_add.
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> by_reason[kDenyReasonCount] = {};
-    std::atomic<uint64_t> by_mode[kAccessModeCount] = {};
-    std::atomic<uint64_t> latency_samples{0};
-    std::atomic<uint64_t> latency_buckets[kLatencyBuckets] = {};
-    bool shared = false;
-  };
+  // Indices into counters_. Within a stripe, each record's publishing
+  // counter (reason, sample count) comes after the counters it publishes
+  // (modes, bucket), and Reset reads a stripe in index order: a record can
+  // then count its reason after the reset but its modes before it only if
+  // it was in flight across that stripe's whole read, which bounds how far
+  // below the `>=` invariants a post-reset total can fall.
+  static constexpr size_t kModeBase = 0;
+  static constexpr size_t kReasonBase = kModeBase + kAccessModeCount;
+  static constexpr size_t kBucketBase = kReasonBase + kDenyReasonCount;
+  static constexpr size_t kSamples = kBucketBase + kLatencyBuckets;
+  static constexpr size_t kSampleClock = kSamples + 1;  // not read as a total
+  static constexpr size_t kCounterCount = kSampleClock + 1;
 
-  // Single-writer slots use a plain load+store (no locked RMW); the shared
-  // overflow slot needs the atomic RMW for correctness.
-  static void Bump(Slot& slot, std::atomic<uint64_t>& counter) {
-    if (slot.shared) {
-      counter.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      counter.store(counter.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-    }
-  }
-
-  // Release flavor for the counter that *completes* a record (the reason, or
-  // the latency sample count): pairs with the snapshot reader's acquire
-  // loads so a completed record's earlier relaxed bumps are visible with it.
-  static void BumpRelease(Slot& slot, std::atomic<uint64_t>& counter) {
-    if (slot.shared) {
-      counter.fetch_add(1, std::memory_order_release);
-    } else {
-      counter.store(counter.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_release);
-    }
-  }
-
-  // N-at-a-time flavors for RecordBatch; same single-writer/overflow split.
-  static void BumpN(Slot& slot, std::atomic<uint64_t>& counter, uint64_t n) {
-    if (slot.shared) {
-      counter.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      counter.store(counter.load(std::memory_order_relaxed) + n,
-                    std::memory_order_relaxed);
-    }
-  }
-
-  static void BumpReleaseN(Slot& slot, std::atomic<uint64_t>& counter, uint64_t n) {
-    if (slot.shared) {
-      counter.fetch_add(n, std::memory_order_release);
-    } else {
-      counter.store(counter.load(std::memory_order_relaxed) + n,
-                    std::memory_order_release);
-    }
-  }
-
-  // Per-thread cache of recently used (instance -> slot) bindings, keyed by
-  // a process-wide instance id so a recycled allocation never aliases a
-  // stale entry. Several ways, so a thread alternating between a few live
-  // instances (the kernel's monitor plus a test's) keeps each instance's
-  // slot — and its private latency sample clock — instead of thrashing.
-  struct SlotCache {
-    struct Entry {
-      uint64_t instance = ~uint64_t{0};
-      Slot* slot = nullptr;
-      uint64_t sample_clock = 0;
-    };
-    static constexpr size_t kWays = 4;
-    Entry entries[kWays];
-    size_t next_victim = 0;
-  };
-
-  // The calling thread's cache entry for this instance. The hit path is
-  // inline — one TLS load and up to kWays compares; only a thread's first
-  // touch of an instance (or a re-touch after eviction) leaves the header.
-  SlotCache::Entry& LocalEntry() {
-    thread_local SlotCache cache;
-    for (SlotCache::Entry& entry : cache.entries) {
-      if (entry.instance == instance_id_) {
-        return entry;
-      }
-    }
-    return ClaimSlot(cache);
-  }
-
-  SlotCache::Entry& ClaimSlot(SlotCache& cache);
-
-  template <typename Fn>
-  uint64_t Sum(Fn&& per_slot) const {
+  uint64_t SumRange(size_t first, size_t count) const {
     uint64_t total = 0;
-    for (size_t s = 0; s < kSlots + 1; ++s) {
-      total += per_slot(slots_[s]);
+    for (size_t i = first; i < first + count; ++i) {
+      total += counters_.Sum(i);
     }
     return total;
   }
 
   // Runs `read` under the reset-generation seqlock: retries while a Reset is
-  // in flight or completed mid-read, so the pass never observes half-zeroed
-  // slots. `generation_out` (optional) receives the even generation the pass
-  // ran under.
+  // in flight or completed mid-read, so the pass never observes half-moved
+  // baselines. After kOptimisticReads lost passes it reads under reset_mu_
+  // instead, which no Reset can interleave, so a reader finishes in bounded
+  // time even against back-to-back Resets. `generation_out` (optional)
+  // receives the even generation the pass ran under.
   template <typename Fn>
   uint64_t ReadStable(Fn&& read, uint64_t* generation_out = nullptr) const;
+  static constexpr int kOptimisticReads = 4;
 
-  const uint64_t instance_id_;
-  std::atomic<uint32_t> next_slot_{0};
-  // Even = stable; odd = a Reset is zeroing the slots. Readers retry until
-  // they complete a pass under one unchanged even generation.
+  // Even = stable; odd = a Reset is moving the baselines. Readers retry
+  // until they complete a pass under one unchanged even generation.
   std::atomic<uint64_t> reset_generation_{0};
-  std::mutex reset_mu_;  // serializes Reset() against itself
-  Slot slots_[kSlots + 1];  // +1: the shared overflow slot
+  // Serializes Reset() against itself, and against a reader's locked pass.
+  mutable std::mutex reset_mu_;
+  // Readers queued for reset_mu_; Reset() lets them in first.
+  mutable std::atomic<int> readers_waiting_{0};
+  StripedCounters<kCounterCount> counters_;
 };
 
 // Nanoseconds from the steady clock, for latency sampling and deadlines.

@@ -236,8 +236,7 @@ Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
                                           AccessModeSet modes) {
   Decision decision;
   ShardId domain = DomainOf(node);
-  shard_checks_[IsConcreteShard(domain) ? domain : kMonitorShardCount].fetch_add(
-      1, std::memory_order_relaxed);
+  shard_checks_.Add(IsConcreteShard(domain) ? domain : kMonitorShardCount);
   if (options_.cache_enabled) {
     // The cache clear epoch and the stamps are read (acquire) BEFORE
     // evaluating. If a store mutates mid-evaluation its bump lands after our
@@ -307,7 +306,7 @@ void ReferenceMonitor::CheckBatch(const BatchCheckRequest* requests, size_t n, D
     Decision& decision = out[i];
     ShardId domain = DomainOf(req.node);
     size_t di = IsConcreteShard(domain) ? domain : kMonitorShardCount;
-    shard_checks_[di].fetch_add(1, std::memory_order_relaxed);
+    shard_checks_.Add(di);
     if (options_.cache_enabled) {
       if (!have_stamps[di]) {
         domain_stamps[di] = CurrentStampsFor(domain);
@@ -379,15 +378,15 @@ bool ReferenceMonitor::TryCompiledCheck(const Subject& subject, NodeId node, Acc
   // nor forces a recompile (the F16 invalidation-storm fix).
   if (tables == nullptr ||
       !(tables->stamps().ForDomain(domain) == CurrentStampsFor(domain))) {
-    compiled_stale_.fetch_add(1, std::memory_order_relaxed);
+    compiled_probes_.Add(kCompiledStale);
     RequestRecompile();
     return false;
   }
   if (tables->Evaluate(subject, node, modes, *labels_, out)) {
-    compiled_hits_.fetch_add(1, std::memory_order_relaxed);
+    compiled_probes_.Add(kCompiledHits);
     return true;
   }
-  compiled_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  compiled_probes_.Add(kCompiledFallbacks);
   if (options_.mac_enabled && tables->dominance() != nullptr &&
       tables->dominance()->IdOf(subject.security_class) < 0) {
     // This subject's class missed the matrix; intern it next compile so the
@@ -423,11 +422,22 @@ StatusOr<std::shared_ptr<const CompiledPolicy>> ReferenceMonitor::BuildCompiled(
                                extra);
 }
 
-Status ReferenceMonitor::RecompileOnce() {
+Status ReferenceMonitor::RecompileOnce(bool skip_if_current) {
   // Serialized: two interleaved builds could otherwise install in either
   // order, and the one that snapshotted the uncovered-class queue earlier
   // would drop classes the other had already interned.
   std::lock_guard<std::mutex> exec_lock(recompile_exec_mu_);
+  if (skip_if_current) {
+    std::shared_ptr<const CompiledPolicy> installed = compiled_snapshot();
+    bool queued;
+    {
+      std::lock_guard<std::mutex> lock(uncovered_mu_);
+      queued = !uncovered_classes_.empty();
+    }
+    if (installed != nullptr && !queued && installed->stamps() == CurrentStampSet()) {
+      return OkStatus();
+    }
+  }
   // Every build carries the previously interned extras forward and adds the
   // newly queued ones, so a class stays interned once noted.
   std::vector<SecurityClass> extra = interned_extra_;
@@ -512,7 +522,7 @@ void ReferenceMonitor::RecompileLoop() {
     lock.unlock();
     // Failures (caps, injected faults, racing mutations) leave the previous
     // tables in place; the next miss re-requests. Never blocks a mutator.
-    (void)RecompileOnce();
+    (void)RecompileOnce(/*skip_if_current=*/true);
     lock.lock();
   }
 }
@@ -524,9 +534,9 @@ void ReferenceMonitor::NotePolicyReload() {
 
 ReferenceMonitor::CompiledCounters ReferenceMonitor::compiled_counters() const {
   CompiledCounters counters;
-  counters.hits = compiled_hits_.load(std::memory_order_relaxed);
-  counters.fallbacks = compiled_fallbacks_.load(std::memory_order_relaxed);
-  counters.stale = compiled_stale_.load(std::memory_order_relaxed);
+  counters.hits = compiled_probes_.Sum(kCompiledHits);
+  counters.fallbacks = compiled_probes_.Sum(kCompiledFallbacks);
+  counters.stale = compiled_probes_.Sum(kCompiledStale);
   counters.recompiles = recompiles_.load(std::memory_order_relaxed);
   counters.failed_recompiles = failed_recompiles_.load(std::memory_order_relaxed);
   return counters;

@@ -277,8 +277,7 @@ class ReferenceMonitor {
   // domain: unknown nodes, the root, or all checks with shard_stamps off).
   // Feeds the /sys/monitor/shard/<i>/checks telemetry leaves.
   uint64_t shard_checks(ShardId shard) const {
-    size_t i = IsConcreteShard(shard) ? shard : kMonitorShardCount;
-    return shard_checks_[i].load(std::memory_order_relaxed);
+    return shard_checks_.Sum(IsConcreteShard(shard) ? shard : kMonitorShardCount);
   }
 
   // The currently installed tables (null if none); for tests and stats.
@@ -329,7 +328,11 @@ class ReferenceMonitor {
   StatusOr<std::shared_ptr<const CompiledPolicy>> BuildCompiled(
       const ShardStampSet& stamps, const std::vector<SecurityClass>& extra);
   // Build-validate-install; kAborted when mutations keep racing the build.
-  Status RecompileOnce();
+  // With `skip_if_current` (the background loop) it builds nothing when the
+  // installed tables already match every stamp and no uncovered class is
+  // queued, e.g. because a RecompileNow ran after the request: a redundant
+  // build would hold a second copy of the tables for its duration.
+  Status RecompileOnce(bool skip_if_current = false);
   void RecompileLoop();
   // Queues a subject class that missed the dominance matrix so the next
   // compile interns it (bounded; duplicates dropped).
@@ -377,11 +380,16 @@ class ReferenceMonitor {
   std::mutex recompile_exec_mu_;
   std::vector<SecurityClass> interned_extra_;
 
-  std::array<std::atomic<uint64_t>, kMonitorShardCount + 1> shard_checks_{};
-
-  std::atomic<uint64_t> compiled_hits_{0};
-  std::atomic<uint64_t> compiled_fallbacks_{0};
-  std::atomic<uint64_t> compiled_stale_{0};
+  // Bumped on every check, so striped per thread: a shared fetch_add here
+  // is a cache line every checking thread writes.
+  StripedCounters<kMonitorShardCount + 1> shard_checks_;
+  enum CompiledCounter : size_t {
+    kCompiledHits,
+    kCompiledFallbacks,
+    kCompiledStale,
+    kCompiledCounters
+  };
+  StripedCounters<kCompiledCounters> compiled_probes_;
   std::atomic<uint64_t> recompiles_{0};
   std::atomic<uint64_t> failed_recompiles_{0};
 

@@ -6,6 +6,20 @@
 
 namespace xsec {
 
+namespace {
+
+// The published per-id word: shard in bits 0..15, kind in 16..23, and the
+// alive bit. Shard and kind are immutable; only Unbind clears alive.
+constexpr unsigned kKindShift = 16;
+constexpr uint32_t kAliveBit = uint32_t{1} << 24;
+static_assert(kUnknownShard <= 0xffff, "shard ids must fit the low half-word");
+
+uint32_t NodeWord(ShardId shard, NodeKind kind) {
+  return shard | (uint32_t{static_cast<uint8_t>(kind)} << kKindShift) | kAliveBit;
+}
+
+}  // namespace
+
 std::string_view NodeKindName(NodeKind kind) {
   switch (kind) {
     case NodeKind::kDirectory:
@@ -38,7 +52,7 @@ NameSpace::NameSpace() {
   // must invalidate every shard.
   root.shard = kAllShards;
   nodes_.push_back(std::move(root));
-  PublishShardLocked(0, kAllShards);
+  PublishNodeLocked(0, kAllShards, NodeKind::kDirectory);
 }
 
 Node* NameSpace::GetMutableLocked(NodeId id) {
@@ -82,37 +96,70 @@ void NameSpace::Touch(Node& node) {
   global_generation_.fetch_add(1, std::memory_order_release);
 }
 
-void NameSpace::PublishShardLocked(uint32_t index, ShardId shard) {
-  size_t chunk = index >> kShardChunkBits;
-  if (chunk >= kShardMaxChunks) {
+std::atomic<uint32_t>* NameSpace::NodeWordSlot(uint32_t index) const {
+  size_t chunk = index >> kNodeChunkBits;
+  if (chunk >= kNodeMaxChunks) {
+    return nullptr;
+  }
+  NodeWordChunk* c = node_chunks_[chunk].load(std::memory_order_acquire);
+  return c == nullptr ? nullptr : &c->word[index & (kNodeChunkSize - 1)];
+}
+
+void NameSpace::PublishNodeLocked(uint32_t index, ShardId shard, NodeKind kind) {
+  size_t chunk = index >> kNodeChunkBits;
+  if (chunk >= kNodeMaxChunks) {
     return;  // beyond capacity: ShardOf reports kAggregateShard, still sound
   }
-  ShardChunk* c = shard_chunks_[chunk].load(std::memory_order_relaxed);
-  if (c == nullptr) {
-    auto owned = std::make_unique<ShardChunk>();
-    c = owned.get();
-    shard_chunk_owner_.push_back(std::move(owned));
-    shard_chunks_[chunk].store(c, std::memory_order_release);
+  if (node_chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
+    node_chunk_owner_.push_back(std::make_unique<NodeWordChunk>());
+    node_chunks_[chunk].store(node_chunk_owner_.back().get(), std::memory_order_release);
   }
-  c->shard[index & (kShardChunkSize - 1)].store(shard, std::memory_order_relaxed);
+  NodeWordSlot(index)->store(NodeWord(shard, kind), std::memory_order_relaxed);
   // The element store above happens-before any reader that observes the new
   // published count.
-  shard_ids_published_.store(index + 1, std::memory_order_release);
+  node_ids_published_.store(index + 1, std::memory_order_release);
+}
+
+bool NameSpace::LoadNodeWord(NodeId id, uint32_t* word) const {
+  if (!id.valid() || id.value >= node_ids_published_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  const std::atomic<uint32_t>* slot = NodeWordSlot(id.value);
+  if (slot == nullptr) {
+    return false;
+  }
+  *word = slot->load(std::memory_order_relaxed);
+  return true;
 }
 
 ShardId NameSpace::ShardOf(NodeId id) const {
-  if (!id.valid() || id.value >= shard_ids_published_.load(std::memory_order_acquire)) {
+  uint32_t word;
+  if (!LoadNodeWord(id, &word)) {
     return kAggregateShard;
   }
-  size_t chunk = id.value >> kShardChunkBits;
-  if (chunk >= kShardMaxChunks) {
-    return kAggregateShard;
+  return word & 0xffff;
+}
+
+bool NameSpace::KindOf(NodeId id, NodeKind* out) const {
+  uint32_t word;
+  if (!LoadNodeWord(id, &word)) {
+    if (!id.valid() || (id.value >> kNodeChunkBits) < kNodeMaxChunks) {
+      return false;
+    }
+    // Beyond the table's capacity: read the node under the tree lock.
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    const Node* n = GetLocked(id);
+    if (n == nullptr) {
+      return false;
+    }
+    *out = n->kind;
+    return true;
   }
-  const ShardChunk* c = shard_chunks_[chunk].load(std::memory_order_acquire);
-  if (c == nullptr) {
-    return kAggregateShard;
+  if ((word & kAliveBit) == 0) {
+    return false;
   }
-  return c->shard[id.value & (kShardChunkSize - 1)].load(std::memory_order_relaxed);
+  *out = static_cast<NodeKind>((word >> kKindShift) & 0xff);
+  return true;
 }
 
 StatusOr<NodeId> NameSpace::BindLocked(NodeId parent, std::string_view name, NodeKind kind,
@@ -152,7 +199,7 @@ StatusOr<NodeId> NameSpace::BindLocked(NodeId parent, std::string_view name, Nod
   }
   ShardId child_shard = child.shard;
   nodes_.push_back(std::move(child));
-  PublishShardLocked(id.value, child_shard);
+  PublishNodeLocked(id.value, child_shard, kind);
   p->children.emplace(std::string(name), id);
   // The structural change is confined to the child's validity domain: no
   // cached decision about the *parent* depends on its children map, but a
@@ -216,6 +263,9 @@ Status NameSpace::Unbind(NodeId node) {
   Node& parent = nodes_[n->parent.value];
   parent.children.erase(n->name);
   n->alive = false;
+  if (std::atomic<uint32_t>* word = NodeWordSlot(node.value)) {
+    word->store(word->load(std::memory_order_relaxed) & ~kAliveBit, std::memory_order_relaxed);
+  }
   // As in BindLocked: the structural edit only affects decisions in the
   // removed node's validity domain (and the aggregate domain, via Touch's
   // global bump). Bumping the parent's shard here would re-create the

@@ -13,14 +13,16 @@
 // handles and never interprets them. Interpretation is the reference
 // monitor's job (src/monitor/), keeping the mechanism in exactly one place.
 //
-/// Thread safety: all public methods may be called concurrently. Mutators
+// Thread safety: all public methods may be called concurrently. Mutators
 // take the tree lock exclusively; readers share it. Methods that return
 // values (ids, paths, SecuritySnapshot) are safe under concurrent mutation.
 // Get() returns a pointer whose *address* is stable for the life of the
 // NameSpace (nodes are never destroyed), but whose fields may change under a
 // concurrent mutator; callers that dereference it across operations must
 // either hold external synchronization or tolerate torn metadata — the
-// monitor's check path uses SnapshotSecurity() instead.
+// monitor's check path uses SnapshotSecurity() instead. A node's kind and
+// shard never change, so ShardOf() and KindOf() read them from a lock-free
+// per-id table instead of taking the tree lock.
 
 #ifndef XSEC_SRC_NAMING_NAMESPACE_H_
 #define XSEC_SRC_NAMING_NAMESPACE_H_
@@ -140,6 +142,11 @@ class NameSpace {
 
   const Node* Get(NodeId id) const;
 
+  // The kind of a live node, without taking the tree lock: false (and *out
+  // untouched) if the id was never bound or the node has been unbound. The
+  // dispatch path (Kernel::InvokeNode) reads this on every call.
+  bool KindOf(NodeId id, NodeKind* out) const;
+
   // Everything the reference monitor needs to decide an access, copied out
   // under one shared-lock acquisition so the ancestor walk is atomic with
   // respect to concurrent tree mutation. The effective refs are the first
@@ -184,9 +191,10 @@ class NameSpace {
   }
 
   // Monitor shard of a node id, readable without taking the tree lock (the
-  // assignment is immutable once the id is published). Unknown / not-yet-
-  // published ids — including NotFound targets — report kAggregateShard, the
-  // domain whose stamps every mutation bumps. The root reports kAllShards.
+  // assignment is immutable once the id is published; an unbound node keeps
+  // its shard). Unknown / not-yet-published ids — including NotFound
+  // targets — report kAggregateShard, the domain whose stamps every
+  // mutation bumps. The root reports kAllShards.
   ShardId ShardOf(NodeId id) const;
 
  private:
@@ -200,7 +208,12 @@ class NameSpace {
   std::string PathOfLocked(NodeId id) const;
   void Touch(Node& node);
   void BumpShard(ShardId shard);
-  void PublishShardLocked(uint32_t index, ShardId shard);
+  // Publishes a new node's {shard, kind, alive} word (BindLocked).
+  void PublishNodeLocked(uint32_t index, ShardId shard, NodeKind kind);
+  // The table entry of an id, or null beyond the allocated chunks.
+  std::atomic<uint32_t>* NodeWordSlot(uint32_t index) const;
+  // The published word of an id; false if the id is not published.
+  bool LoadNodeWord(NodeId id, uint32_t* word) const;
 
   mutable std::shared_mutex mu_;
   // Deque, not vector: node addresses stay stable across Bind, so Get()'s
@@ -209,20 +222,22 @@ class NameSpace {
   std::atomic<uint64_t> global_generation_{0};
   std::array<std::atomic<uint64_t>, kMonitorShardCount> shard_generation_{};
 
-  // Lock-free id→shard map for the cached-check hot path: fixed-size chunks
-  // published with release stores. Writers append under mu_; readers never
-  // take a lock. Ids beyond the published count (or beyond capacity, ~16M
-  // nodes) fall back to the aggregate domain, which stays sound because the
-  // aggregate stamps are bumped by every mutation.
-  static constexpr size_t kShardChunkBits = 12;
-  static constexpr size_t kShardChunkSize = size_t{1} << kShardChunkBits;
-  static constexpr size_t kShardMaxChunks = 4096;
-  struct ShardChunk {
-    std::array<std::atomic<uint32_t>, kShardChunkSize> shard;
+  // Lock-free id→{shard, kind, alive} map for the check and dispatch hot
+  // paths: one 32-bit word per id (NodeWord in namespace.cc) in fixed-size
+  // chunks published with release stores. Writers append, and Unbind clears
+  // the alive bit, under mu_; readers never take a lock. Ids beyond the
+  // published count (or beyond capacity, ~16M nodes) report the aggregate
+  // domain, which stays sound because the aggregate stamps are bumped by
+  // every mutation; KindOf reads ids beyond capacity under the tree lock.
+  static constexpr size_t kNodeChunkBits = 12;
+  static constexpr size_t kNodeChunkSize = size_t{1} << kNodeChunkBits;
+  static constexpr size_t kNodeMaxChunks = 4096;
+  struct NodeWordChunk {
+    std::array<std::atomic<uint32_t>, kNodeChunkSize> word;
   };
-  std::array<std::atomic<ShardChunk*>, kShardMaxChunks> shard_chunks_{};
-  std::atomic<size_t> shard_ids_published_{0};
-  std::vector<std::unique_ptr<ShardChunk>> shard_chunk_owner_;  // under mu_
+  std::array<std::atomic<NodeWordChunk*>, kNodeMaxChunks> node_chunks_{};
+  std::atomic<size_t> node_ids_published_{0};
+  std::vector<std::unique_ptr<NodeWordChunk>> node_chunk_owner_;  // under mu_
 };
 
 }  // namespace xsec

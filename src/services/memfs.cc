@@ -155,11 +155,14 @@ StatusOr<NodeId> MemFs::ResolveChecked(Subject& subject, std::string_view path,
   if (!decision.allowed) {
     return decision.ToStatus();
   }
-  const Node* n = kernel_->name_space().Get(node);
-  if (n->kind != kind) {
+  NodeKind actual;
+  if (!kernel_->name_space().KindOf(node, &actual)) {
+    return NotFoundError(StrFormat("'%s' vanished", std::string(path).c_str()));
+  }
+  if (actual != kind) {
     return FailedPreconditionError(
         StrFormat("'%s' is a %s, expected %s", std::string(path).c_str(),
-                  std::string(NodeKindName(n->kind)).c_str(),
+                  std::string(NodeKindName(actual)).c_str(),
                   std::string(NodeKindName(kind)).c_str()));
   }
   return node;

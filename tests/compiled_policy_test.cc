@@ -239,6 +239,26 @@ TEST_F(CompiledPolicyTest, AsyncRecompileEventuallyInstalls) {
   ExpectCompiledEquals(Subject{bob_, Cls(0), 1}, dir_, AccessModeSet(AccessMode::kRead));
 }
 
+TEST_F(CompiledPolicyTest, AsyncRecompileSkipsCurrentTablesButServesStaleOnes) {
+  ASSERT_TRUE(monitor_->RecompileNow().ok());
+  const std::shared_ptr<const CompiledPolicy> installed = monitor_->compiled_snapshot();
+  // The tables already match every stamp: the background build is skipped,
+  // so no second copy of the tables is built and nothing is reinstalled.
+  monitor_->RequestRecompile();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(monitor_->compiled_snapshot(), installed);
+  EXPECT_EQ(monitor_->compiled_counters().recompiles, 1u);
+
+  // After a mutation the same request rebuilds.
+  (void)acls_.AddEntry(0, {AclEntryType::kDeny, bob_, AccessModeSet(AccessMode::kRead)});
+  monitor_->RequestRecompile();
+  for (int i = 0; i < 500 && monitor_->compiled_snapshot() == installed; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_NE(monitor_->compiled_snapshot(), installed);
+  ExpectCompiledEquals(Subject{bob_, Cls(0), 1}, obj_, AccessModeSet(AccessMode::kRead));
+}
+
 // -- Satellite regression: policy reload must invalidate cached decisions ----
 
 TEST(CompiledPolicyReloadTest, ReloadInvalidatesCachedAllowsAndCompiledTables) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
+#include <thread>
+#include <vector>
+
+#include "src/base/rng.h"
+
 namespace xsec {
 namespace {
 
@@ -200,6 +207,121 @@ TEST(DecisionCacheTest, CollisionOverwrites) {
   EXPECT_FALSE(cache.Lookup(s, NodeId{1}, AccessMode::kRead, stamps, &out));
   ASSERT_TRUE(cache.Lookup(s, NodeId{2}, AccessMode::kRead, stamps, &out));
   EXPECT_FALSE(out.allowed);
+}
+
+TEST(DecisionCacheTest, WideCategorySetsBypassTheCache) {
+  // A category set needing more significant words than a slot stores inline
+  // is never cached: probes miss (and count as misses), inserts are dropped.
+  DecisionCache cache(64);
+  CategorySet wide;
+  wide.Set(64 * DecisionCache::kInlineCategoryWords);  // first bit past the inline words
+  Subject s{PrincipalId{1}, SecurityClass(0, wide), 1};
+  CacheStamps stamps{1, 1, 1, 1};
+  cache.Insert(s, NodeId{5}, AccessMode::kRead, stamps, {true, DenyReason::kNone});
+  DecisionCache::CachedDecision out;
+  EXPECT_FALSE(cache.Lookup(s, NodeId{5}, AccessMode::kRead, stamps, &out));
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  // The widest set that still fits is cached normally.
+  CategorySet widest;
+  widest.Set(64 * DecisionCache::kInlineCategoryWords - 1);
+  Subject t{PrincipalId{1}, SecurityClass(0, widest), 1};
+  cache.Insert(t, NodeId{5}, AccessMode::kRead, stamps, {true, DenyReason::kNone});
+  EXPECT_TRUE(cache.Lookup(t, NodeId{5}, AccessMode::kRead, stamps, &out));
+}
+
+// Lock-free readers against writers on ONE slot (a 1-slot cache, so every
+// key collides). Keys differ by principal, by level, and by a category bit
+// in every inline word position; each key is inserted under two stamp
+// vectors with a different decision for each (key, stamps) pair. A hit must
+// return exactly the decision inserted for that key under those stamps.
+// Probes under the other stamp vector drive the locked vacate-on-stale step
+// into the race, and the probe accounting must stay exact. Runs under TSan
+// and ASan via ci/run_checks.sh --quick.
+TEST(DecisionCacheConcurrencyTest, CollidingKeysNeverReturnAnotherKeysDecision) {
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  // Each reader probes at least kMinProbes times and until it has seen
+  // kMinHits hits (bounded by kMaxProbes): on a loaded host the writers may
+  // not run at all during a reader's first time slice.
+  constexpr size_t kMinProbes = 50000;
+  constexpr size_t kMaxProbes = 40 * kMinProbes;
+  constexpr uint64_t kMinHits = 100;
+
+  std::vector<Subject> keys;
+  for (uint32_t p = 1; p <= 3; ++p) {
+    keys.push_back(Subject{PrincipalId{p}, SecurityClass(), 1});
+    for (size_t w = 0; w < DecisionCache::kInlineCategoryWords; ++w) {
+      CategorySet cats;
+      cats.Set(64 * w + 1);
+      keys.push_back(Subject{PrincipalId{p}, SecurityClass(static_cast<TrustLevel>(w % 2), cats),
+                             1});
+    }
+  }
+  // The stamp vectors differ only in their last word (the policy epoch):
+  // a read that took the decision from one insert and that word from
+  // another would match the wrong vector. The second vector is used for one
+  // insert and one probe in eight, so stale probes (which vacate the slot)
+  // do not keep it empty.
+  const CacheStamps stamps[2] = {{1, 2, 3, 4, 5, 6}, {1, 2, 3, 4, 6, 6}};
+  auto decision_for = [](size_t k, size_t s) {
+    size_t v = 2 * k + s;
+    return DecisionCache::CachedDecision{v % 2 == 0,
+                                         static_cast<DenyReason>(v / 2 % kDenyReasonCount)};
+  };
+
+  DecisionCache cache(1);
+  std::latch start(kWriters + kReaders);
+  std::atomic<int> readers_done{0};
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> probes{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(100 + w);
+      start.arrive_and_wait();
+      // Writers keep refilling the slot until every reader has finished,
+      // yielding between inserts: back-to-back inserts rewrite the slot so
+      // often that readers almost never see a whole entry, and no probe
+      // would hit.
+      while (readers_done.load(std::memory_order_acquire) < kReaders) {
+        size_t k = rng.NextBelow(keys.size());
+        size_t s = rng.NextBelow(8) == 0 ? 1 : 0;
+        cache.Insert(keys[k], NodeId{9}, AccessMode::kRead, stamps[s], decision_for(k, s));
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(200 + t);
+      start.arrive_and_wait();
+      uint64_t hits = 0;
+      size_t n = 0;
+      for (; n < kMaxProbes && (n < kMinProbes || hits < kMinHits); ++n) {
+        size_t k = rng.NextBelow(keys.size());
+        size_t s = rng.NextBelow(8) == 0 ? 1 : 0;
+        DecisionCache::CachedDecision out;
+        if (cache.Lookup(keys[k], NodeId{9}, AccessMode::kRead, stamps[s], &out)) {
+          ++hits;
+          DecisionCache::CachedDecision want = decision_for(k, s);
+          if (out.allowed != want.allowed || out.reason != want.reason) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+      probes.fetch_add(n, std::memory_order_relaxed);
+      readers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cache.hits() + cache.misses(), probes.load());
+  EXPECT_LE(cache.stale_hits(), cache.misses());
+  EXPECT_GT(cache.hits(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace xsec {
 namespace {
 
@@ -372,6 +377,70 @@ TEST_F(KernelTest, SetProcedureHandlerRebinds) {
   EXPECT_EQ(std::get<int64_t>(*result), -1);
   EXPECT_EQ(kernel_.SetProcedureHandler(NodeId{9999}, nullptr).code(),
             StatusCode::kNotFound);
+  // A live node of another kind, and an unbound procedure, are refused too.
+  NodeId math = *kernel_.name_space().Lookup("/svc/math");
+  EXPECT_EQ(kernel_.SetProcedureHandler(math, nullptr).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(kernel_.name_space().Unbind(add).ok());
+  EXPECT_EQ(kernel_.SetProcedureHandler(add, nullptr).code(), StatusCode::kNotFound);
+}
+
+// InvokeNode reads the target's kind on every call. It used to fetch a
+// borrowed Node* under the tree lock and dereference it after the lock was
+// dropped, racing any Bind that grew the node store; it now reads the
+// lock-free kind word. Callers hammer CallCapability while another thread
+// binds thousands of unrelated nodes (growing the node store and the
+// lock-free table across chunk boundaries) and unbinds some of them again.
+// Run under ASan and TSan by ci/run_checks.sh --quick.
+TEST(KernelConcurrencyTest, CapabilityCallsRaceBindsOfUnrelatedNodes) {
+  constexpr int kProcedures = 4;
+  constexpr int kCallers = 3;
+  constexpr int kCallsPerCaller = 3000;
+  constexpr int kBinds = 6000;
+
+  Kernel kernel(MonitorOptions{.check_traversal = false});
+  PrincipalId alice = *kernel.principals().CreateUser("alice");
+  NodeId hot = *kernel.RegisterService("/svc/hot", kernel.system_principal());
+  std::vector<Capability> caps;
+  for (int i = 0; i < kProcedures; ++i) {
+    std::string path = "/svc/hot/p" + std::to_string(i);
+    NodeId node = *kernel.RegisterProcedure(
+        path, kernel.system_principal(),
+        [i](CallContext&) -> StatusOr<Value> { return Value{int64_t{i}}; });
+    caps.push_back(Capability{node, path});
+  }
+  Acl acl;
+  acl.AddEntry({AclEntryType::kAllow, alice, AccessModeSet(AccessMode::kExecute)});
+  ASSERT_TRUE(kernel.name_space().SetAclRef(hot, kernel.acls().Create(std::move(acl))).ok());
+  NodeId churn = *kernel.RegisterService("/churn", kernel.system_principal());
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&kernel, &caps, &failures, alice, t] {
+      Subject subject = kernel.CreateSubject(alice, SecurityClass());
+      for (int n = 0; n < kCallsPerCaller; ++n) {
+        int i = (n + t) % kProcedures;
+        auto result = kernel.CallCapability(subject, caps[i], {});
+        if (!result.ok() || std::get<int64_t>(*result) != i) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&kernel, churn] {
+    for (int n = 0; n < kBinds; ++n) {
+      auto node = kernel.name_space().Bind(churn, "n" + std::to_string(n), NodeKind::kFile,
+                                           kernel.system_principal());
+      if (node.ok() && n % 3 == 0) {
+        (void)kernel.name_space().Unbind(*node);
+      }
+    }
+  });
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(kernel.name_space().node_count(), size_t{kBinds});
 }
 
 }  // namespace

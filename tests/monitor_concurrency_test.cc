@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/thread_stripe.h"
 #include "src/monitor/reference_monitor.h"
 
 namespace xsec {
@@ -191,6 +193,59 @@ TEST_F(MonitorConcurrencyTest, AuditRingUnderConcurrentDenials) {
   }
   EXPECT_EQ(monitor_->audit().total_checks(),
             kReaderThreads * static_cast<uint64_t>(kReaderIterations / 4));
+}
+
+// Every per-check counter is striped per thread and summed on read; the
+// sums must be exact once the checking threads have joined. More threads
+// than private stripes run at once, so the shared overflow stripe (the
+// fetch_add fallback) is exercised too. Every 4th check asks for write,
+// which the group ACL never grants, so the denial counts are exact as well.
+TEST_F(MonitorConcurrencyTest, CountersStayExactUnderConcurrentChecks) {
+  constexpr size_t kThreads = kThreadStripes + 4;
+  constexpr int kChecksPerThread = 400;
+  constexpr uint64_t kTotal = kThreads * kChecksPerThread;
+  constexpr uint64_t kDenials = kThreads * (kChecksPerThread / 4);
+  ASSERT_TRUE(monitor_->RecompileNow().ok());
+
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Subject me = Low(users_[t % kReaderThreads]);
+      start.arrive_and_wait();  // all alive at once: stripes run out
+      for (int i = 0; i < kChecksPerThread; ++i) {
+        AccessMode mode = i % 4 == 0 ? AccessMode::kWrite : AccessMode::kRead;
+        (void)monitor_->Check(me, nodes_[(t + static_cast<size_t>(i)) % kNodes], mode);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+
+  // All nodes live in /svc's shard.
+  EXPECT_EQ(monitor_->shard_checks(ns_.ShardOf(nodes_[0])), kTotal);
+  uint64_t all_domains = monitor_->shard_checks(kAggregateShard);
+  for (ShardId s = 0; s < kMonitorShardCount; ++s) {
+    all_domains += monitor_->shard_checks(s);
+  }
+  EXPECT_EQ(all_domains, kTotal);
+  EXPECT_EQ(monitor_->audit().total_checks(), kTotal);
+  EXPECT_EQ(monitor_->audit().total_denials(), kDenials);
+  const DecisionCache& cache = monitor_->cache();
+  EXPECT_EQ(cache.hits() + cache.misses(), kTotal);
+  // Every cache miss probes the compiled tier exactly once.
+  ReferenceMonitor::CompiledCounters compiled = monitor_->compiled_counters();
+  EXPECT_EQ(compiled.hits + compiled.fallbacks + compiled.stale, cache.misses());
+  EXPECT_EQ(monitor_->stats().checks_total(), kTotal);
+  EXPECT_EQ(monitor_->stats().denied_total(), kDenials);
+
+  // Clear() zeroes the audit counters as seen by readers.
+  monitor_->audit().Clear();
+  EXPECT_EQ(monitor_->audit().total_checks(), 0u);
+  (void)monitor_->Check(Low(users_[0]), nodes_[0], AccessMode::kWrite);
+  EXPECT_EQ(monitor_->audit().total_checks(), 1u);
+  EXPECT_EQ(monitor_->audit().total_denials(), 1u);
 }
 
 }  // namespace

@@ -96,6 +96,53 @@ TEST(NameSpaceTest, UnbindLeaf) {
   EXPECT_NE(*f2, *f);
 }
 
+TEST(NameSpaceTest, KindOfReportsTheBoundKindUntilUnbind) {
+  NameSpace ns;
+  NodeKind kind;
+  ASSERT_TRUE(ns.KindOf(ns.root(), &kind));
+  EXPECT_EQ(kind, NodeKind::kDirectory);
+
+  auto svc = ns.BindPath("/svc", NodeKind::kService, Owner());
+  auto iface = ns.BindPath("/svc/events", NodeKind::kInterface, Owner());
+  auto proc = ns.BindPath("/svc/run", NodeKind::kProcedure, Owner());
+  ASSERT_TRUE(svc.ok() && iface.ok() && proc.ok());
+  ASSERT_TRUE(ns.KindOf(*svc, &kind));
+  EXPECT_EQ(kind, NodeKind::kService);
+  ASSERT_TRUE(ns.KindOf(*iface, &kind));
+  EXPECT_EQ(kind, NodeKind::kInterface);
+  ASSERT_TRUE(ns.KindOf(*proc, &kind));
+  EXPECT_EQ(kind, NodeKind::kProcedure);
+
+  // Unbound: no kind, and *out is left alone. The shard stays readable.
+  ShardId shard = ns.ShardOf(*proc);
+  ASSERT_TRUE(ns.Unbind(*proc).ok());
+  kind = NodeKind::kFile;
+  EXPECT_FALSE(ns.KindOf(*proc, &kind));
+  EXPECT_EQ(kind, NodeKind::kFile);
+  EXPECT_EQ(ns.ShardOf(*proc), shard);
+
+  // Ids never bound, and the invalid id, have no kind either.
+  EXPECT_FALSE(ns.KindOf(NodeId{static_cast<uint32_t>(ns.node_count())}, &kind));
+  EXPECT_FALSE(ns.KindOf(NodeId{}, &kind));
+}
+
+TEST(NameSpaceTest, KindOfCoversIdsAcrossTableChunks) {
+  // More nodes than one 4096-id chunk of the lock-free table.
+  NameSpace ns;
+  std::vector<NodeId> files;
+  ASSERT_TRUE(ns.BindPath("/d", NodeKind::kDirectory, Owner()).ok());
+  for (int i = 0; i < 5000; ++i) {
+    auto f = ns.BindPath("/d/f" + std::to_string(i), NodeKind::kFile, Owner());
+    ASSERT_TRUE(f.ok());
+    files.push_back(*f);
+  }
+  NodeKind kind;
+  for (NodeId f : files) {
+    ASSERT_TRUE(ns.KindOf(f, &kind));
+    ASSERT_EQ(kind, NodeKind::kFile);
+  }
+}
+
 TEST(NameSpaceTest, UnbindNonEmptyRejected) {
   NameSpace ns;
   ASSERT_TRUE(ns.BindPath("/a/f", NodeKind::kFile, Owner()).ok());
