@@ -220,7 +220,11 @@ bool AclStore::CopyAcl(AclRef ref, Acl* out) const {
   if (ref >= acls_.size()) {
     return false;
   }
-  *out = acls_[ref].acl;
+  // A private list, not a share of the stored one: the store edits a list
+  // in place once its use count reads 1, and that count is a relaxed load,
+  // so a copy dropped outside this lock after being read from would race
+  // the edit (CompiledPolicy::Build against RemoveEntriesFor under TSan).
+  *out = Acl(std::make_shared<const Acl::EntryList>(acls_[ref].acl.entries()));
   return true;
 }
 

@@ -143,7 +143,8 @@ class AclStore {
   // behaves like an empty ACL (kNoMatchingGrant for any nonempty request).
   AclVerdict Evaluate(AclRef ref, const DynamicBitset& closure, AccessModeSet requested) const;
 
-  // Copies the stored ACL out under the shared lock. False on a bad ref.
+  // Copies the stored ACL out under the shared lock, into an entry list of
+  // its own (never shared with the store). False on a bad ref.
   bool CopyAcl(AclRef ref, Acl* out) const;
 
   // Replaces the ACL at `ref`; bumps generations.

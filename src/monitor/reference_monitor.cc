@@ -1,6 +1,7 @@
 #include "src/monitor/reference_monitor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/strings.h"
 
@@ -365,32 +366,35 @@ bool ReferenceMonitor::TryCompiledCheck(const Subject& subject, NodeId node, Acc
   if (!options_.compiled_enabled) {
     return false;
   }
-  std::shared_ptr<const CompiledPolicy> tables;
+  bool uncovered = false;
   {
-    std::shared_lock<std::shared_mutex> lock(compiled_mu_);
-    tables = compiled_;
+    // The pin keeps the installer from freeing the tables while they are in
+    // use (MODEL.md §10); the load that follows it sees at least the tables
+    // the installer will wait on.
+    ReaderPins::Pin pin(compiled_pins_);
+    const CompiledPolicy* tables = compiled_view_.load(std::memory_order_seq_cst);
+    // Validate AFTER loading the pointer: the stamps are read fresh, so a
+    // match proves the tables describe the stores as of this instant (any
+    // later mutation will bump a stamp and divert the next probe). Only the
+    // target node's domain entry is compared — a mutation confined to
+    // another shard bumps only that shard's stamps, so it neither diverts
+    // this probe nor forces a recompile (the F16 invalidation-storm fix).
+    if (tables == nullptr ||
+        !(tables->stamps().ForDomain(domain) == CurrentStampsFor(domain))) {
+      compiled_probes_.Add(kCompiledStale);
+    } else if (tables->Evaluate(subject, node, modes, *labels_, out)) {
+      compiled_probes_.Add(kCompiledHits);
+      return true;
+    } else {
+      compiled_probes_.Add(kCompiledFallbacks);
+      // This subject's class missed the matrix; intern it next compile so
+      // the fallback is one-shot per class, not per check.
+      uncovered = options_.mac_enabled && tables->dominance() != nullptr &&
+                  tables->dominance()->IdOf(subject.security_class) < 0;
+    }
   }
-  // Validate AFTER copying the pointer: the stamps are read fresh, so a
-  // match proves the tables describe the stores as of this instant (any
-  // later mutation will bump a stamp and divert the next probe). Only the
-  // target node's domain entry is compared — a mutation confined to another
-  // shard bumps only that shard's stamps, so it neither diverts this probe
-  // nor forces a recompile (the F16 invalidation-storm fix).
-  if (tables == nullptr ||
-      !(tables->stamps().ForDomain(domain) == CurrentStampsFor(domain))) {
-    compiled_probes_.Add(kCompiledStale);
-    RequestRecompile();
-    return false;
-  }
-  if (tables->Evaluate(subject, node, modes, *labels_, out)) {
-    compiled_probes_.Add(kCompiledHits);
-    return true;
-  }
-  compiled_probes_.Add(kCompiledFallbacks);
-  if (options_.mac_enabled && tables->dominance() != nullptr &&
-      tables->dominance()->IdOf(subject.security_class) < 0) {
-    // This subject's class missed the matrix; intern it next compile so the
-    // fallback is one-shot per class, not per check.
+  // Outside the pin, so a pinned probe takes no lock.
+  if (uncovered) {
     NoteUncoveredClass(subject.security_class);
   }
   RequestRecompile();
@@ -468,10 +472,18 @@ Status ReferenceMonitor::RecompileOnce(bool skip_if_current) {
     failed_recompiles_.fetch_add(1, std::memory_order_relaxed);
     return FailedPreconditionError("policy mutated during compilation");
   }
+  std::shared_ptr<const CompiledPolicy> retired;
   {
     std::unique_lock<std::shared_mutex> lock(compiled_mu_);
-    compiled_ = std::move(*built);
+    retired = std::exchange(compiled_, std::move(*built));
+    compiled_view_.store(compiled_.get(), std::memory_order_seq_cst);
   }
+  // Grace period, outside compiled_mu_: once every probe pinned before the
+  // store above has unpinned, no probe can still read the retired tables,
+  // so they are dropped now rather than parked on a retire list (two
+  // multi-MB DAC tables are never resident together beyond this wait).
+  compiled_pins_.WaitForReaders();
+  retired.reset();
   interned_extra_ = extra;
   {
     // Drain exactly what this build interned; classes noted mid-build stay
@@ -500,6 +512,14 @@ Status ReferenceMonitor::RecompileNow() {
 }
 
 void ReferenceMonitor::RequestRecompile() {
+  // A request already pending is not yet consumed: the loop clears the flag
+  // (under the mutex) before its build reads the stamps, so that build
+  // starts after this call. Stale probes therefore take the mutex only when
+  // no build is queued. Soundness never rests on this flag: tables that
+  // miss a mutation carry stale stamps, and the next probe asks again.
+  if (recompile_pending_.load(std::memory_order_seq_cst)) {
+    return;
+  }
   std::lock_guard<std::mutex> lock(recompile_mu_);
   if (recompile_shutdown_) {
     return;
@@ -507,18 +527,22 @@ void ReferenceMonitor::RequestRecompile() {
   if (!recompile_thread_.joinable()) {
     recompile_thread_ = std::thread([this] { RecompileLoop(); });
   }
-  recompile_pending_ = true;
+  // Set under the mutex the waiter holds while testing its predicate, so
+  // the notify cannot fall between that test and the wait.
+  recompile_pending_.store(true, std::memory_order_seq_cst);
   recompile_cv_.notify_one();
 }
 
 void ReferenceMonitor::RecompileLoop() {
   std::unique_lock<std::mutex> lock(recompile_mu_);
   for (;;) {
-    recompile_cv_.wait(lock, [this] { return recompile_pending_ || recompile_shutdown_; });
+    recompile_cv_.wait(lock, [this] {
+      return recompile_pending_.load(std::memory_order_seq_cst) || recompile_shutdown_;
+    });
     if (recompile_shutdown_) {
       return;
     }
-    recompile_pending_ = false;
+    recompile_pending_.store(false, std::memory_order_seq_cst);
     lock.unlock();
     // Failures (caps, injected faults, racing mutations) leave the previous
     // tables in place; the next miss re-requests. Never blocks a mutator.
@@ -756,7 +780,8 @@ Status ReferenceMonitor::SetNodeLabel(const Subject& subject, NodeId node,
   if (!name_space_->SnapshotSecurity(node, &snap)) {
     return NotFoundError("node does not exist");
   }
-  bool officer = security_officer_.valid() && subject.principal == security_officer_;
+  const PrincipalId officer_id = security_officer();
+  bool officer = officer_id.valid() && subject.principal == officer_id;
   if (!officer) {
     if (!HasAdministrate(subject, node)) {
       Audit(subject, node, "", AccessMode::kAdministrate,

@@ -27,7 +27,7 @@
 // AclStore::Evaluate, LabelAuthority::LabelHandle) and reads the validity
 // stamps *before* evaluating, so a cached decision can be spuriously stale
 // but never wrongly fresh. Explain() and EffectiveAcl() are introspection
-// helpers for single-threaded use. set_security_officer() is setup-time.
+// helpers for single-threaded use.
 
 #ifndef XSEC_SRC_MONITOR_REFERENCE_MONITOR_H_
 #define XSEC_SRC_MONITOR_REFERENCE_MONITOR_H_
@@ -44,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/reader_pins.h"
 #include "src/dac/acl.h"
 #include "src/mac/flow_policy.h"
 #include "src/mac/label_authority.h"
@@ -180,9 +181,14 @@ class ReferenceMonitor {
   Status SetOwner(const Subject& subject, NodeId node, PrincipalId new_owner);
 
   // The security officer may relabel arbitrarily (trusted subject in the
-  // Bell-LaPadula sense). Unset by default.
-  void set_security_officer(PrincipalId officer) { security_officer_ = officer; }
-  PrincipalId security_officer() const { return security_officer_; }
+  // Bell-LaPadula sense). Unset by default. Stored as one atomic word: a
+  // policy reload may set it while other threads relabel.
+  void set_security_officer(PrincipalId officer) {
+    security_officer_.store(officer.value, std::memory_order_release);
+  }
+  PrincipalId security_officer() const {
+    return PrincipalId{security_officer_.load(std::memory_order_acquire)};
+  }
 
   // -- Lockdown (supervision-driven graceful degradation) --------------------
   // While armed, would-be-allowed checks whose modes include `extend` are
@@ -234,7 +240,6 @@ class ReferenceMonitor {
   void NotePolicyReload();
   uint64_t policy_epoch() const { return policy_epoch_.load(std::memory_order_acquire); }
 
-  // Attempts a compiled-table decision: false when disabled, no tables are
   // The validity domain used to stamp decisions about `node`: its monitor
   // shard, or kAggregateShard with shard_stamps off / for non-concrete
   // shards (unknown node ids, the root). Lock-free. The mediation transport
@@ -245,12 +250,14 @@ class ReferenceMonitor {
   // when `shard` is concrete, else the legacy aggregate stamps.
   CacheStamps CurrentStampsFor(ShardId shard) const;
 
+  // Attempts a compiled-table decision: false when disabled, no tables are
   // installed, their stamps are stale, or the tables do not cover the input
   // (then the caller must take the interpreted path). Public for the
   // differential fuzzer, which holds this against CheckInterpreted.
   // `domain` is the node's validity domain (DomainOf(node)); the check
   // validates only that domain's entry in the tables' stamp set, so a
-  // mutation confined to another shard never diverts this probe.
+  // mutation confined to another shard never diverts this probe. Takes no
+  // lock and writes only the calling thread's stripes (MODEL.md §10).
   bool TryCompiledCheck(const Subject& subject, NodeId node, AccessModeSet modes,
                         ShardId domain, Decision* out);
   bool TryCompiledCheck(const Subject& subject, NodeId node, AccessModeSet modes,
@@ -347,7 +354,8 @@ class ReferenceMonitor {
   AuditLog audit_;
   MonitorStats stats_;
   DecisionCache cache_;
-  PrincipalId security_officer_;
+  // PrincipalId::value of the security officer (kInvalid when unset).
+  std::atomic<uint32_t> security_officer_{PrincipalId::kInvalid};
 
   // Armed by the supervision layer (breaker cascade or operator); checked
   // on every decision with one relaxed load.
@@ -358,10 +366,16 @@ class ReferenceMonitor {
   // compiled tables built against it — to be consulted afterwards.
   std::atomic<uint64_t> policy_epoch_{0};
 
-  // The installed tables. Readers copy the shared_ptr under the shared lock
-  // and evaluate lock-free; the installer swaps under the exclusive lock.
+  // The installed tables (docs/MODEL.md §10). The probe takes no lock and
+  // copies no reference count: it pins its own stripe of compiled_pins_,
+  // loads compiled_view_ and evaluates through it. The installer publishes
+  // a new view, waits out the pins (WaitForReaders) and drops the old
+  // tables at once. compiled_ owns the tables; compiled_mu_ guards it for
+  // the installer and compiled_snapshot() only, never for the probe.
   mutable std::shared_mutex compiled_mu_;
   std::shared_ptr<const CompiledPolicy> compiled_;
+  std::atomic<const CompiledPolicy*> compiled_view_{nullptr};
+  ReaderPins compiled_pins_;
 
   // Subject classes that missed the dominance matrix, fed into the next
   // build as extra interned classes. Small and bounded; guarded by its own
@@ -394,11 +408,14 @@ class ReferenceMonitor {
   std::atomic<uint64_t> failed_recompiles_{0};
 
   // Lazy background recompiler: RequestRecompile sets `pending` and wakes
-  // it; the loop coalesces bursts into one build. Guarded by recompile_mu_.
+  // it; the loop coalesces bursts into one build. Every write of the three
+  // fields below happens under recompile_mu_. RequestRecompile reads
+  // `pending` without the lock first, so stale probes that find a build
+  // already queued touch no shared line.
   std::mutex recompile_mu_;
   std::condition_variable recompile_cv_;
   std::thread recompile_thread_;
-  bool recompile_pending_ = false;
+  std::atomic<bool> recompile_pending_{false};
   bool recompile_shutdown_ = false;
 };
 

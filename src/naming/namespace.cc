@@ -332,6 +332,20 @@ StatusOr<std::vector<NodeId>> NameSpace::List(NodeId node) const {
   return out;
 }
 
+StatusOr<std::vector<std::string>> NameSpace::ListNames(NodeId node) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const Node* n = GetLocked(node);
+  if (n == nullptr) {
+    return NotFoundError("node does not exist");
+  }
+  std::vector<std::string> out;
+  out.reserve(n->children.size());
+  for (const auto& [name, id] : n->children) {
+    out.push_back(name);
+  }
+  return out;
+}
+
 bool NameSpace::SnapshotSecurity(NodeId id, SecuritySnapshot* out) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   const Node* n = GetLocked(id);

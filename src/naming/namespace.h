@@ -139,6 +139,9 @@ class NameSpace {
 
   // Children of a node, sorted by name.
   StatusOr<std::vector<NodeId>> List(NodeId node) const;
+  // Their names, copied under the same lock acquisition (a child unbound
+  // right after List() would leave its id without a live node to name).
+  StatusOr<std::vector<std::string>> ListNames(NodeId node) const;
 
   const Node* Get(NodeId id) const;
 

@@ -286,17 +286,14 @@ StatusOr<std::vector<std::string>> MemFs::ListDir(Subject& subject, std::string_
     return node.status();
   }
   XSEC_FAILPOINT("memfs.list");
-  auto children = kernel_->name_space().List(*node);
-  if (!children.ok()) {
-    return children.status();
+  auto names = kernel_->name_space().ListNames(*node);
+  if (!names.ok()) {
+    return names.status();
   }
+  // The names are copied under one tree-lock hold; a directory large enough
+  // to cross the poll interval still honors the caller's deadline.
   CooperativeBudget budget(call, kScanPollEntries);
-  std::vector<std::string> names;
-  names.reserve(children->size());
-  for (NodeId child : *children) {
-    XSEC_RETURN_IF_ERROR(budget.Charge());
-    names.push_back(kernel_->name_space().Get(child)->name);
-  }
+  XSEC_RETURN_IF_ERROR(budget.Charge(names->size()));
   return names;
 }
 

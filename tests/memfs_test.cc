@@ -1,5 +1,9 @@
 #include "src/services/memfs.h"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "src/core/secure_system.h"
@@ -97,6 +101,40 @@ TEST_F(MemFsTest, MkDirAndList) {
   auto names = sys_.fs().ListDir(alice_subject_, "/fs/home/sub");
   ASSERT_TRUE(names.ok());
   EXPECT_EQ(*names, (std::vector<std::string>{"f1", "f2"}));
+}
+
+// ListDir copies the child names under one tree-lock hold, so a child
+// unbound mid-listing is either listed or not, never a dangling id. Only the
+// mutating thread touches file contents (that map is single-threaded).
+TEST_F(MemFsTest, ListDirRacesCreateAndRemove) {
+  constexpr int kRounds = 2000;
+  ASSERT_TRUE(sys_.fs().Create(alice_subject_, "/fs/home/keep").ok());
+  std::atomic<bool> done{false};
+  std::thread mutator([&] {
+    Subject alice = alice_subject_;
+    for (int i = 0; i < kRounds; ++i) {
+      Status created = sys_.fs().Create(alice, "/fs/home/churn").status();
+      Status removed = sys_.fs().Remove(alice, "/fs/home/churn");
+      if (!created.ok() || !removed.ok()) {
+        ADD_FAILURE() << created << " / " << removed;
+        break;
+      }
+    }
+    done.store(true);
+  });
+  Subject alice = alice_subject_;
+  int listings = 0;
+  while (!done.load() || listings == 0) {
+    auto names = sys_.fs().ListDir(alice, "/fs/home");
+    if (!names.ok()) {
+      ADD_FAILURE() << names.status();
+      break;
+    }
+    EXPECT_TRUE(names->size() == 1 || names->size() == 2) << names->size();
+    EXPECT_NE(std::find(names->begin(), names->end(), "keep"), names->end());
+    ++listings;
+  }
+  mutator.join();
 }
 
 TEST_F(MemFsTest, OperationsOutsideMountRejected) {

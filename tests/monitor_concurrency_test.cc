@@ -248,5 +248,113 @@ TEST_F(MonitorConcurrencyTest, CountersStayExactUnderConcurrentChecks) {
   EXPECT_EQ(monitor_->audit().total_denials(), 1u);
 }
 
+// The compiled-tier probe reads the installed tables through a reader pin,
+// with no lock and no reference count, while installs retire and free the
+// previous tables after a grace period. Readers run with the cache off, so
+// every check probes the tables; there are more of them than private
+// stripes, so the shared overflow pin slot is in use too. The writer's
+// mutations never change a reader's decision (they grant and revoke a
+// principal no reader is), so every decision has one fixed expected
+// outcome. A table freed while a probe still reads it is a use-after-free
+// under ASan and a race under TSan.
+TEST_F(MonitorConcurrencyTest, CompiledProbesRaceTableInstalls) {
+  constexpr size_t kThreads = kThreadStripes + 8;
+  constexpr int kInstalls = 1000;
+  MonitorOptions options;
+  options.cache_enabled = false;
+  options.audit_policy = AuditPolicy::kOff;
+  ReferenceMonitor monitor(&ns_, &acls_, &principals_, &labels_, options);
+  ASSERT_TRUE(monitor.RecompileNow().ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> probes_decided{0};
+  std::latch start(kThreads);
+  std::latch probing(kThreads);  // every reader has finished one probe
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Subject me = Low(users_[t % kReaderThreads]);
+      start.arrive_and_wait();  // all alive at once: private stripes run out
+      for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        if (i == 1) {
+          probing.count_down();
+        }
+        NodeId node = nodes_[(t + i) % kNodes];
+        // The group may read every node and may never write one.
+        const bool write = i % 4 == 0;
+        const AccessMode mode = write ? AccessMode::kWrite : AccessMode::kRead;
+        Decision probe;
+        if (monitor.TryCompiledCheck(me, node, mode, &probe)) {
+          probes_decided.fetch_add(1, std::memory_order_relaxed);
+          if (probe.allowed == write) {
+            wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if (monitor.Check(me, node, mode).allowed == write) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+        // Unpinned here: giving the CPU up at this point, not by preemption
+        // inside a probe, keeps each grace period short with 40 threads on
+        // a few cores, and with it the test's run time.
+        std::this_thread::yield();
+      }
+    });
+  }
+
+  Subject admin = Low(admin_);
+  probing.wait();
+  for (int i = 0; i < kInstalls; ++i) {
+    Status granted = monitor.AddAclEntry(
+        admin, svc_,
+        {AclEntryType::kAllow, churn_user_, AccessModeSet(AccessMode::kWrite)});
+    Status revoked = monitor.RemoveAclEntriesFor(admin, svc_, churn_user_);
+    // Races the background recompile the stale probes request.
+    Status installed = monitor.RecompileNow();
+    if (!granted.ok() || !revoked.ok() || !installed.ok()) {
+      ADD_FAILURE() << granted << " / " << revoked << " / " << installed;
+      break;  // the readers must still be stopped and joined
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(probes_decided.load(), 0u);
+  ReferenceMonitor::CompiledCounters compiled = monitor.compiled_counters();
+  EXPECT_GT(compiled.hits, 0u);
+  EXPECT_GE(compiled.recompiles, static_cast<uint64_t>(kInstalls));
+}
+
+// The security officer is stored as one atomic word: a policy reload may
+// set it while other threads relabel (ThreadSanitizer flags a plain field).
+TEST_F(MonitorConcurrencyTest, OfficerChangeRacesRelabels) {
+  constexpr int kRounds = 2000;
+  SecurityClass high(1, CategorySet(0));
+  std::atomic<bool> done{false};
+  std::thread setter([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      monitor_->set_security_officer(i % 2 == 0 ? officer_ : admin_);
+    }
+    monitor_->set_security_officer(officer_);
+    done.store(true);
+  });
+  Subject officer = Low(officer_);
+  int relabels = 0;
+  while (!done.load() || relabels == 0) {
+    NodeId node = nodes_[static_cast<size_t>(relabels) % kNodes];
+    // Allowed while officer_ holds the office; otherwise a ⊥ subject may
+    // not raise a label.
+    Status status = monitor_->SetNodeLabel(officer, node, high);
+    EXPECT_TRUE(status.ok() || status.code() == StatusCode::kPermissionDenied) << status;
+    ++relabels;
+  }
+  setter.join();
+  EXPECT_EQ(monitor_->security_officer(), officer_);
+  EXPECT_TRUE(monitor_->SetNodeLabel(officer, nodes_[0], labels_.Bottom()).ok());
+}
+
 }  // namespace
 }  // namespace xsec
