@@ -15,15 +15,12 @@
 //   CheckWithCrossShardMutationEvery/<k>   cached check cost with a mutation
 //                                 in a *different* shard every k checks; flat
 //                                 across k, unlike F8's InvalidationEvery
-//   MillionPrincipalIntern        interning 1M distinct principal names into
-//                                 shard-local pools (arena + dense ids);
-//                                 interned_names / arena bytes / ns-per-name
 //   AclInternSharing              1024 objects sharing one ACL shape per
 //                                 shard-local pool — intern_hits proves the
 //                                 store deduplicates entry lists
 //
 // ci/check_bench_f16.py gates the counters (cross-shard staleness exactly 0,
-// control > 0, 1M names interned within budget, ACL interning effective).
+// control > 0, ACL interning effective).
 
 #include <benchmark/benchmark.h>
 
@@ -33,7 +30,6 @@
 
 #include "src/base/shard.h"
 #include "src/monitor/reference_monitor.h"
-#include "src/principal/intern_pool.h"
 
 namespace xsec {
 namespace {
@@ -129,40 +125,6 @@ void BM_CheckWithCrossShardMutationEvery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckWithCrossShardMutationEvery)->RangeMultiplier(4)->Range(1, 4096);
-
-// 1M distinct principal names through the shard-local intern pools, routed
-// by principal hash the way the grant table routes grantees. Each iteration
-// re-interns the full set into fresh pools; per-name cost is cpu_time / 1M.
-void BM_MillionPrincipalIntern(benchmark::State& state) {
-  constexpr uint32_t kPrincipals = 1'000'000;
-  std::vector<std::string> names;
-  names.reserve(kPrincipals);
-  for (uint32_t i = 0; i < kPrincipals; ++i) {
-    names.push_back("org" + std::to_string(i % 512) + "/user" + std::to_string(i));
-  }
-  size_t interned = 0;
-  size_t bytes = 0;
-  for (auto _ : state) {
-    std::vector<PrincipalInternPool> pools(kMonitorShardCount);
-    for (uint32_t i = 0; i < kPrincipals; ++i) {
-      benchmark::DoNotOptimize(pools[ShardOfPrincipal(i)].Intern(names[i]));
-    }
-    // Second pass: every name must dedup to its existing id (hit path).
-    for (uint32_t i = 0; i < kPrincipals; ++i) {
-      benchmark::DoNotOptimize(pools[ShardOfPrincipal(i)].Intern(names[i]));
-    }
-    interned = 0;
-    bytes = 0;
-    for (const PrincipalInternPool& pool : pools) {
-      interned += pool.size();
-      bytes += pool.bytes_used();
-    }
-  }
-  // The gate derives ns-per-name from cpu_time / interned_names.
-  state.counters["interned_names"] = benchmark::Counter(static_cast<double>(interned));
-  state.counters["arena_bytes"] = benchmark::Counter(static_cast<double>(bytes));
-}
-BENCHMARK(BM_MillionPrincipalIntern)->Unit(benchmark::kMillisecond);
 
 // Many objects sharing one ACL shape: the store's shard-local intern pools
 // must collapse them to one entry list per shard.

@@ -13,34 +13,23 @@ with counters, not machine-dependent timings:
    mutation and probe in one subtree — same_shard_stale must be > 0, or the
    isolation above would be vacuous (stamps not invalidating anything).
 
-3. Million-principal interning: BM_MillionPrincipalIntern must report
-   interned_names == 1,000,000 (full dedup across shard-local pools) and
-   spend at most --max-intern-ns per Intern call (cpu_time over 2M calls:
-   one miss pass + one hit pass). The default ceiling is deliberately slack
-   — it catches an accidental O(n) rescan, not micro-regressions.
-
-4. ACL interning: BM_AclInternSharing must report intern_hits > 0 and
+3. ACL interning: BM_AclInternSharing must report intern_hits > 0 and
    intern_unique < intern_hits (identical entry lists collapse to a handful
    of shared lists, not one list per object).
 
 No committed baseline: like F14/F15 this is an absolute claim about the
 mechanism, not a regression bound.
 
-Usage: check_bench_f16.py <fresh.json> [--max-intern-ns 5000]
+Usage: check_bench_f16.py <fresh.json>
 """
 
 import argparse
 import json
-import statistics
 import sys
 
 ISOLATION = "BM_CrossShardMutationIsolation"
 CONTROL = "BM_SameShardMutationControl"
-INTERN = "BM_MillionPrincipalIntern"
 ACL = "BM_AclInternSharing"
-
-INTERN_NAMES_EXPECTED = 1_000_000
-INTERN_CALLS_PER_ITERATION = 2 * INTERN_NAMES_EXPECTED
 
 
 def entries(data, name):
@@ -58,28 +47,9 @@ def counter(data, path, name, key):
     raise KeyError(f"{path}: no {name} entry carrying counter '{key}'")
 
 
-def median_cpu_time_ns(data, path, name):
-    values = []
-    for bench in entries(data, name):
-        if "cpu_time" not in bench:
-            continue
-        t = float(bench["cpu_time"])
-        unit = bench.get("time_unit", "ns")
-        scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit)
-        if scale is None:
-            raise ValueError(f"{path}: {name} has unknown time_unit '{unit}'")
-        values.append(t * scale)
-    if not values:
-        raise KeyError(f"{path}: no successful benchmark named {name}")
-    return statistics.median(values)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh")
-    parser.add_argument("--max-intern-ns", type=float, default=5000.0,
-                        help="ceiling on cpu ns per Intern call for the "
-                             "million-principal load (default 5000)")
     args = parser.parse_args()
 
     try:
@@ -91,8 +61,6 @@ def main():
         cross_stale = counter(data, args.fresh, ISOLATION, "cross_shard_stale")
         cross_hits = counter(data, args.fresh, ISOLATION, "other_shard_hits")
         same_stale = counter(data, args.fresh, CONTROL, "same_shard_stale")
-        interned = counter(data, args.fresh, INTERN, "interned_names")
-        intern_cpu_ns = median_cpu_time_ns(data, args.fresh, INTERN)
         acl_hits = counter(data, args.fresh, ACL, "intern_hits")
         acl_unique = counter(data, args.fresh, ACL, "intern_unique")
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as err:
@@ -116,20 +84,6 @@ def main():
     if same_stale <= 0:
         print("check_bench_f16: FAIL — same-shard mutations invalidated "
               "nothing; shard stamps are not actually consulted",
-              file=sys.stderr)
-        failed = True
-
-    per_intern_ns = intern_cpu_ns / INTERN_CALLS_PER_ITERATION
-    print(f"million-principal intern: names={interned:.0f} "
-          f"({per_intern_ns:.0f}ns per call)")
-    if interned != INTERN_NAMES_EXPECTED:
-        print(f"check_bench_f16: FAIL — expected {INTERN_NAMES_EXPECTED} "
-              f"distinct interned names, got {interned:.0f} (dedup or "
-              "shard routing broke)", file=sys.stderr)
-        failed = True
-    if per_intern_ns > args.max_intern_ns:
-        print(f"check_bench_f16: FAIL — {per_intern_ns:.0f}ns per Intern "
-              f"call exceeds the {args.max_intern_ns:.0f}ns budget",
               file=sys.stderr)
         failed = True
 

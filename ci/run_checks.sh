@@ -9,13 +9,14 @@
 # counters, the lock-free decision-cache and node-kind reads, the reader
 # pins of the compiled tier, the mediated StatsService tree, the
 # subscription channels, the cooperative-cancellation paths, the
-# fault-injection suites, the mediation-ring transport, and the
-# compiled-policy + differential-fuzz suites) plus the policy round-trip
+# fault-injection suites, the batched-check fault and clear-race suites, and
+# the compiled-policy + differential-fuzz suites) plus the policy round-trip
 # and MemFs tests; the default runs everything everywhere.
 #
 # --faults runs only the randomized fault-injection sweep: the fault suites
-# (Failpoint|FaultService|AuditResilience|PolicyCrash|RingFault|AuditFanOut)
-# plus the DiffFuzz differential oracle under ASan+UBSan and TSan with a randomized
+# (Failpoint|FaultService|AuditResilience|PolicyCrash|RingFault|NdjsonDiskFull|
+# ShardClearRace|AuditFanOut|Supervisor|Quarantine) plus the DiffFuzz
+# differential oracle under ASan+UBSan and TSan with a randomized
 # XSEC_FAULT_SEED. The seed is printed so a failing sweep replays exactly:
 # XSEC_FAULT_SEED=<seed> ci/run_checks.sh --faults.
 #
@@ -41,13 +42,13 @@
 #   BENCH_f14.json   bench_f14_compiled results (compiled vs interpreted
 #                    cache-miss decisions; ci/check_bench_f14.py requires
 #                    the compiled miss to be materially faster)
-#   BENCH_f15.json   bench_f15_ring results (shared-ring batched mediation;
+#   BENCH_f15.json   bench_f15_batch results (batched mediation;
 #                    ci/check_bench_f15.py requires batched per-item cost
-#                    <= per-call at batch >= 8 and stuck-shard isolation)
+#                    <= per-call at batch >= 8)
 #   BENCH_f16.json   bench_f16_shard results (sharded stamp domains;
 #                    ci/check_bench_f16.py requires zero cross-shard stale
-#                    evictions, a live same-shard control, the 1M-principal
-#                    intern load within budget, and effective ACL interning)
+#                    evictions, a live same-shard control, and effective
+#                    ACL interning)
 #   BENCH_f17.json   bench_f17_supervisor results (supervised degradation;
 #                    ci/check_bench_f17.py requires invokes beside a
 #                    quarantined peer within 10% of baseline, a real audited
@@ -65,7 +66,7 @@ FAULTS=0
 
 # DiffFuzz (tests/diff_fuzz_test.cc) rides in the fault sweep: it arms the
 # same failpoints and must never observe a compiled/interpreted divergence.
-FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|DiffFuzz|RingFault|ShardClearRace|AuditFanOut|Supervisor|Quarantine|Watchdog'
+FAULT_RE='Failpoint|FaultService|AuditResilience|PolicyCrash|DiffFuzz|RingFault|NdjsonDiskFull|ShardClearRace|AuditFanOut|Supervisor|Quarantine'
 
 # Randomized but replayable in every mode: the differential fuzzer and the
 # failpoint sweeps read XSEC_FAULT_SEED from the environment and print it in
@@ -79,7 +80,7 @@ run_ctest() {
   local dir="$1"
   if [[ "$QUICK" == 1 ]]; then
     (cd "$dir" && ctest --output-on-failure -j "$JOBS" \
-        -R "MonitorConcurrency|ReaderPins|MemFs|KernelConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|CompiledPolicy|MediationRing|Shard|${FAULT_RE}")
+        -R "MonitorConcurrency|ReaderPins|MemFs|KernelConcurrency|DecisionCache|ReferenceMonitor|AuditLog|NdjsonRotation|MonitorStats|StatsService|StatsSnapshot|StatsWatch|Subscription|Cancellation|PolicyIo|PolicyRoundTrip|CompiledPolicy|Shard|${FAULT_RE}")
   else
     (cd "$dir" && ctest --output-on-failure -j "$JOBS")
   fi
@@ -143,12 +144,12 @@ echo "== F14: compiled vs interpreted cache-miss decisions =="
 echo "== F14 gate (compiled miss must beat interpreted miss) =="
 python3 ci/check_bench_f14.py BENCH_f14.json
 
-echo "== F15: shared-ring batched mediation =="
-./build-release/bench/bench_f15_ring \
+echo "== F15: batched vs per-call checks =="
+./build-release/bench/bench_f15_batch \
     --benchmark_out=BENCH_f15.json --benchmark_out_format=json \
     --benchmark_min_time=0.25 --benchmark_repetitions=3
 
-echo "== F15 gate (batched per-item <= per-call; stuck shard isolates) =="
+echo "== F15 gate (batched per-item <= per-call) =="
 python3 ci/check_bench_f15.py BENCH_f15.json
 
 echo "== F16: sharded stamp domains =="
@@ -156,7 +157,7 @@ echo "== F16: sharded stamp domains =="
     --benchmark_out=BENCH_f16.json --benchmark_out_format=json \
     --benchmark_min_time=0.25
 
-echo "== F16 gate (cross-shard isolation; 1M-principal intern budget) =="
+echo "== F16 gate (cross-shard isolation; ACL interning) =="
 python3 ci/check_bench_f16.py BENCH_f16.json
 
 echo "== F17: supervised degradation (quarantined peer containment) =="

@@ -99,7 +99,7 @@ class SecureSystem {
   // -- Supervision (docs/MODEL.md §16) ----------------------------------------
 
   // Opt-in: creates the extension supervisor (budgets, circuit breakers,
-  // quarantine, the ring watchdog), attaches it to the kernel so every
+  // quarantine, lockdown), attaches it to the kernel so every
   // subsequently loaded extension is supervised, mounts the health telemetry
   // under /sys/monitor/health/, and installs the mediated /svc/health
   // control plane. Idempotent after the first call (later calls return the
@@ -119,9 +119,9 @@ class SecureSystem {
   std::unique_ptr<NetStack> net_;
   std::unique_ptr<StatsService> stats_;
   std::unique_ptr<FaultService> faults_;
-  // Supervision plane (EnableSupervision). Declared after the services it
-  // feeds telemetry to, before kernel teardown in reverse order: the
-  // supervisor's watchdog joins before the kernel it references dies.
+  // Supervision plane (EnableSupervision). Declared after the kernel and
+  // the services it feeds telemetry to, so reverse-order teardown destroys
+  // it before the monitor it audits through and enforces lockdown on.
   std::unique_ptr<ExtensionSupervisor> supervisor_;
   std::unique_ptr<HealthService> health_;
   PrincipalId everyone_;

@@ -15,13 +15,13 @@
 #define XSEC_SRC_EXTSYS_KERNEL_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/call_options.h"
 #include "src/dac/acl.h"
 #include "src/extsys/dispatcher.h"
 #include "src/extsys/extension.h"
@@ -33,9 +33,23 @@
 
 namespace xsec {
 
-// CallOptions (deadline + cancellation flag) now lives in
-// src/base/call_options.h so the monitor's mediation ring can accept the
-// same per-call options the kernel plumbs into handlers via CallContext.
+// Per-call deadline/cancellation options of Invoke/CallCapability/RaiseEvent,
+// plumbed into handlers via CallContext.
+//
+// `deadline_ns` is an absolute timestamp on the MonotonicNowNs clock; 0
+// means no deadline. A call whose deadline has already passed is rejected
+// with kDeadlineExceeded before any work runs; otherwise the deadline is
+// forwarded so blocking stages can bound their wait.
+//
+// `cancel` is an optional caller-owned flag: setting it to true withdraws
+// the request, and cooperative waiters (anything that polls the
+// CallContext::CheckDeadline contract) return kCancelled at their next
+// cancellation point. Cancellation wins over an expired deadline when both
+// hold. The flag must outlive the call.
+struct CallOptions {
+  uint64_t deadline_ns = 0;
+  const std::atomic<bool>* cancel = nullptr;
+};
 
 class ExtensionSupervisor;
 

@@ -1,11 +1,9 @@
 #include "src/extsys/supervisor.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/base/failpoint.h"
 #include "src/base/strings.h"
-#include "src/monitor/mediation_ring.h"
 #include "src/monitor/monitor_stats.h"
 
 namespace xsec {
@@ -60,17 +58,6 @@ std::string_view SystemHealthName(SystemHealth state) {
 
 ExtensionSupervisor::ExtensionSupervisor(ReferenceMonitor* monitor, SupervisorOptions options)
     : monitor_(monitor), options_(options) {}
-
-ExtensionSupervisor::~ExtensionSupervisor() {
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_shutdown_ = true;
-    watchdog_cv_.notify_all();
-  }
-  if (watchdog_thread_.joinable()) {
-    watchdog_thread_.join();
-  }
-}
 
 void ExtensionSupervisor::Register(std::string_view name, NodeId node,
                                    std::optional<ExtensionBudget> budget) {
@@ -226,33 +213,6 @@ StatusOr<ExtensionSupervisor::Permit> ExtensionSupervisor::Admit(std::string_vie
   permit.deadline_ns_ = deadline;
   permit.probe_ = probe;
   return permit;
-}
-
-Status ExtensionSupervisor::FastFail(const Subject& subject, NodeId node) const {
-  (void)subject;
-  Entry* entry;
-  {
-    std::shared_lock<std::shared_mutex> lock(registry_mu_);
-    auto it = by_node_.find(node.value);
-    if (it == by_node_.end()) {
-      return OkStatus();
-    }
-    entry = it->second;
-  }
-  std::lock_guard<std::mutex> lock(entry->mu);
-  if (entry->state == ExtHealth::kHealthy) {
-    return OkStatus();
-  }
-  // Quarantined or probing. A due probe passes (the real Admit downstream
-  // converts it); everything else fails fast without touching any credit.
-  if (entry->state == ExtHealth::kQuarantined && !entry->probe_inflight &&
-      entry->budget.probe_after_ns != 0 &&
-      MonotonicNowNs() - entry->quarantined_at_ns >= entry->budget.probe_after_ns) {
-    return OkStatus();
-  }
-  entry->rejected.fetch_add(1, std::memory_order_relaxed);
-  return UnavailableError(
-      StrFormat("extension '%s' is quarantined", entry->name.c_str()));
 }
 
 bool ExtensionSupervisor::Selectable(std::string_view name) const {
@@ -430,14 +390,12 @@ void ExtensionSupervisor::AuditSystemTransition(SystemHealth from, SystemHealth 
 void ExtensionSupervisor::RecomputeSystemHealth(std::string_view why) {
   std::lock_guard<std::mutex> lock(health_mu_);
   size_t quarantined = quarantined_count_.load(std::memory_order_relaxed);
-  size_t stuck = stuck_shards_.load(std::memory_order_relaxed);
   bool cascade = options_.lockdown_after != 0 && quarantined >= options_.lockdown_after;
   bool lockdown = operator_lockdown_.load(std::memory_order_relaxed) || cascade;
   SystemHealth next = SystemHealth::kHealthy;
   if (lockdown) {
     next = SystemHealth::kLockdown;
-  } else if ((options_.degraded_after != 0 && quarantined >= options_.degraded_after) ||
-             stuck > 0) {
+  } else if (options_.degraded_after != 0 && quarantined >= options_.degraded_after) {
     next = SystemHealth::kDegraded;
   }
   SystemHealth prev = system_health_.exchange(next, std::memory_order_relaxed);
@@ -513,55 +471,6 @@ void ExtensionSupervisor::SetRegistrationHook(std::function<void(const std::stri
     for (const std::string& name : existing) {
       hook(name);
     }
-  }
-}
-
-// -- Watchdog ----------------------------------------------------------------
-
-void ExtensionSupervisor::WatchRing(MediationRing* ring) {
-  std::lock_guard<std::mutex> lock(watchdog_mu_);
-  watched_rings_.push_back(ring);
-  if (!watchdog_thread_.joinable()) {
-    watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
-  }
-}
-
-void ExtensionSupervisor::RunWatchdogOnce() {
-  std::vector<MediationRing*> rings;
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    rings = watched_rings_;
-  }
-  uint64_t now = MonotonicNowNs();
-  size_t stuck = 0;
-  for (MediationRing* ring : rings) {
-    for (size_t s = 0; s < ring->shard_count(); ++s) {
-      MediationRing::ShardHealth health = ring->shard_health(s);
-      // Stuck means ONE batch in flight past the bound: busy is true only
-      // between a batch's start and its completion post, and the heartbeat
-      // is re-stamped at every boundary — so a slow-but-progressing worker
-      // (many batches, each under the bound) never reads as stuck. That is
-      // the heartbeat-interval contract WatchdogTest pins.
-      if (health.busy && now > health.heartbeat_ns &&
-          now - health.heartbeat_ns > options_.stuck_after_ns) {
-        ++stuck;
-      }
-    }
-  }
-  stuck_shards_.store(stuck, std::memory_order_relaxed);
-  RecomputeSystemHealth("ring watchdog");
-}
-
-void ExtensionSupervisor::WatchdogLoop() {
-  std::unique_lock<std::mutex> lock(watchdog_mu_);
-  while (!watchdog_shutdown_) {
-    watchdog_cv_.wait_for(lock, std::chrono::nanoseconds(options_.watchdog_interval_ns));
-    if (watchdog_shutdown_) {
-      return;
-    }
-    lock.unlock();
-    RunWatchdogOnce();
-    lock.lock();
   }
 }
 

@@ -4,9 +4,9 @@
 // Admission-time checks (link-time import/export mediation, per-call execute
 // checks) decide whether an extension MAY run; nothing before this module
 // bounded how it BEHAVES once running. A wedged or crash-looping extension
-// could stall InvokeNode callers indefinitely, occupy a mediation-ring
-// worker, and drag unrelated tenants down with it. The supervisor closes
-// that gap with three mechanisms layered around every supervised invocation:
+// could stall InvokeNode callers indefinitely and drag unrelated tenants
+// down with it. The supervisor closes that gap with two mechanisms layered
+// around every supervised invocation:
 //
 //   budget    — each extension carries a wall-clock invoke budget (capped
 //               into the CallContext deadline the handler already honors)
@@ -16,19 +16,16 @@
 //               (the ResilientSink state-machine shape: closed → open →
 //               half-open probe). A tripped extension is *quarantined*:
 //               every admission answers kUnavailable without running the
-//               handler or consuming mediation-ring credits, until a probe
+//               handler, until a probe
 //               interval elapses and ONE probe invocation is let through —
 //               success releases the quarantine, failure re-arms it. Both
 //               transitions are recorded through the audit pipeline.
-//   watchdog  — a supervisor thread checks registered MediationRings'
-//               per-shard batch heartbeats; a shard busy on one batch for
-//               longer than stuck_after_ns is declared stuck.
 //
 // Above the per-extension view sits the monitor health state machine:
 //
-//   healthy   — nothing quarantined, no stuck shards;
-//   degraded  — >= degraded_after extensions quarantined, or any stuck
-//               shard (observability state: nothing else changes);
+//   healthy   — fewer than degraded_after extensions quarantined;
+//   degraded  — >= degraded_after extensions quarantined (observability
+//               state: nothing else changes);
 //   lockdown  — operator-armed (/svc/health lockdown on) or breaker cascade
 //               (>= lockdown_after quarantines). The supervisor arms
 //               ReferenceMonitor::set_lockdown, which denies would-be
@@ -56,7 +53,6 @@
 #define XSEC_SRC_EXTSYS_SUPERVISOR_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -65,7 +61,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +71,6 @@
 namespace xsec {
 
 class Failpoint;
-class MediationRing;
 
 // Per-extension circuit state. kProbing is the half-open phase: exactly one
 // invocation is in flight deciding the circuit's fate.
@@ -88,8 +82,8 @@ enum class ExtHealth : uint8_t {
 
 std::string_view ExtHealthName(ExtHealth state);
 
-// The monitor-wide view derived from the per-extension states and the ring
-// watchdog.
+// The monitor-wide view derived from the per-extension states and the
+// operator's lockdown flag.
 enum class SystemHealth : uint8_t {
   kHealthy = 0,
   kDegraded,
@@ -120,11 +114,6 @@ struct SupervisorOptions {
   // Quarantined-extension count that cascades into lockdown; 0 disables the
   // automatic cascade (operator arming still works).
   size_t lockdown_after = 0;
-  // Ring watchdog cadence and the stuck bound: a shard busy on ONE batch
-  // longer than stuck_after_ns is stuck. stuck_after_ns must exceed the
-  // worst legitimate single-batch time (see MediationRing::ShardHealth).
-  uint64_t watchdog_interval_ns = 20'000'000;   // 20 ms
-  uint64_t stuck_after_ns = 1'000'000'000;      // 1 s
   // Principal stamped on supervision audit records (quarantine trips,
   // releases, health transitions). Typically the system principal.
   PrincipalId audit_principal;
@@ -136,10 +125,8 @@ class ExtensionSupervisor {
 
  public:
   // The monitor must outlive the supervisor: transitions are audited through
-  // it and lockdown is enforced by it. No thread starts until a ring is
-  // watched (WatchRing).
+  // it and lockdown is enforced by it. The supervisor starts no thread.
   explicit ExtensionSupervisor(ReferenceMonitor* monitor, SupervisorOptions options = {});
-  ~ExtensionSupervisor();
 
   ExtensionSupervisor(const ExtensionSupervisor&) = delete;
   ExtensionSupervisor& operator=(const ExtensionSupervisor&) = delete;
@@ -148,7 +135,7 @@ class ExtensionSupervisor {
 
   // Registers (or re-registers) a supervised name. `node` is the extension's
   // own node (or the service node a manual registration guards); it anchors
-  // audit records and the ring admission gate. Unloading an extension keeps
+  // audit records. Unloading an extension keeps
   // its entry (history survives; a reloaded extension re-joins its record).
   void Register(std::string_view name, NodeId node,
                 std::optional<ExtensionBudget> budget = std::nullopt);
@@ -192,11 +179,6 @@ class ExtensionSupervisor {
   // finds the probe interval elapsed converts the quarantine to kProbing and
   // admits itself as the probe.
   StatusOr<Permit> Admit(std::string_view name, uint64_t caller_deadline_ns);
-
-  // Fail-fast admission probe by node for the mediation-ring gate: answers
-  // kUnavailable for quarantined targets (without consuming the half-open
-  // probe — only real Admits probe), OK for everything else.
-  Status FastFail(const Subject& subject, NodeId node) const;
 
   // Dispatcher eligibility: false while quarantined with no probe due, so
   // class selection falls through to the next-best handler.
@@ -243,21 +225,11 @@ class ExtensionSupervisor {
   size_t quarantined_count() const {
     return quarantined_count_.load(std::memory_order_relaxed);
   }
-  size_t stuck_shards() const { return stuck_shards_.load(std::memory_order_relaxed); }
 
   // Called with each newly registered name (and every already-registered
   // one, immediately); the telemetry plane mounts per-extension leaves from
   // it. Invoked without supervisor locks held.
   void SetRegistrationHook(std::function<void(const std::string&)> hook);
-
-  // -- Ring watchdog ----------------------------------------------------------
-
-  // Adds `ring` to the watchdog's scan set and starts the watchdog thread on
-  // first use. The ring must outlive the supervisor.
-  void WatchRing(MediationRing* ring);
-  // One synchronous watchdog scan (what the thread runs each interval);
-  // exposed so tests pin the stuck/not-stuck contract deterministically.
-  void RunWatchdogOnce();
 
   const SupervisorOptions& options() const { return options_; }
 
@@ -293,10 +265,9 @@ class ExtensionSupervisor {
   // Emits one synthetic record through the monitor's audit pipeline.
   void AuditTransition(const Entry* entry, bool quarantined, std::string detail);
   void AuditSystemTransition(SystemHealth from, SystemHealth to, std::string detail);
-  // Re-derives system health from quarantine count + stuck shards + operator
-  // flag; arms/disarms the monitor's lockdown and audits the change.
+  // Re-derives system health from quarantine count + operator flag;
+  // arms/disarms the monitor's lockdown and audits the change.
   void RecomputeSystemHealth(std::string_view why);
-  void WatchdogLoop();
   ExtSnapshot SnapshotEntry(const Entry& entry) const;
 
   ReferenceMonitor* monitor_;
@@ -308,7 +279,6 @@ class ExtensionSupervisor {
   std::unordered_map<uint32_t, Entry*> by_node_;
 
   std::atomic<size_t> quarantined_count_{0};
-  std::atomic<size_t> stuck_shards_{0};
   std::atomic<bool> operator_lockdown_{false};
   std::atomic<SystemHealth> system_health_{SystemHealth::kHealthy};
   // Serializes health recomputation so the monitor lockdown flag and the
@@ -317,13 +287,6 @@ class ExtensionSupervisor {
 
   std::mutex hook_mu_;
   std::function<void(const std::string&)> registration_hook_;
-
-  // Watchdog thread state.
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  std::vector<MediationRing*> watched_rings_;
-  std::thread watchdog_thread_;
-  bool watchdog_shutdown_ = false;
 };
 
 }  // namespace xsec

@@ -310,7 +310,7 @@ class AuditLog {
   }
 
   // Records a whole batch of decisions in one stamping critical section
-  // (the mediation-ring worker path): every record is counted, then those
+  // (ReferenceMonitor::CheckBatch): every record is counted, then those
   // the current policy retains are sequence-stamped contiguously, handed to
   // the sink/drain, and ring-inserted under ONE acquisition of the ring
   // mutex. Ordering semantics are identical to N Record() calls performed

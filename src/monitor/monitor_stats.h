@@ -115,8 +115,8 @@ class MonitorStats {
                     std::memory_order_release);
   }
 
-  // Thread-local accumulator for batched recording (the mediation-ring
-  // worker path): the worker tallies a whole batch of decisions here, then
+  // Thread-local accumulator for batched recording
+  // (ReferenceMonitor::CheckBatch): the batch tallies its decisions here, then
   // flushes once with RecordBatch — one stripe lookup and one release
   // store per reason per batch instead of one per decision.
   struct BatchCounts {

@@ -1,6 +1,7 @@
 #include "src/monitor/reference_monitor.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/base/strings.h"
@@ -233,44 +234,52 @@ void ReferenceMonitor::ApplyLockdown(Decision* decision, AccessModeSet modes) {
   }
 }
 
-Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
-                                          AccessModeSet modes) {
-  Decision decision;
-  ShardId domain = DomainOf(node);
-  shard_checks_.Add(IsConcreteShard(domain) ? domain : kMonitorShardCount);
-  if (options_.cache_enabled) {
-    // The cache clear epoch and the stamps are read (acquire) BEFORE
-    // evaluating. If a store mutates mid-evaluation its bump lands after our
-    // loads, so the entry we insert carries stamps that are already stale —
-    // a future probe re-evaluates. The race costs a redundant evaluation,
-    // never a wrong cached decision. The clear epoch makes the same argument
-    // against Clear(): an insert that raced a clear either lands before the
-    // wipe or refuses (see DecisionCache::Insert).
-    uint64_t clear_epoch = cache_.clear_epoch();
-    CacheStamps stamps = CurrentStampsFor(domain);
-    DecisionCache::CachedDecision cached;
-    if (cache_.Lookup(subject, node, modes, stamps, &cached)) {
-      decision = Decision{cached.allowed, cached.reason, ""};
-    } else {
-      // Miss path: compiled tables first (two lookups), interpreted walk
-      // only when they are stale or don't cover the input. A compiled
-      // decision validated against stamps at least as fresh as ours, so
-      // inserting under our (possibly older) stamps is at worst spuriously
-      // stale, never wrongly fresh.
-      if (!TryCompiledCheck(subject, node, modes, domain, &decision)) {
-        decision = CheckUncached(subject, node, modes);
-      }
+__attribute__((always_inline)) inline void ReferenceMonitor::Decide(
+    const Subject& subject, NodeId node, AccessModeSet modes, ShardId domain,
+    const CacheStamps& stamps, uint64_t clear_epoch, Decision* out) {
+  shard_checks_.Add(DomainIndex(domain));
+  Decision& decision = *out;
+  DecisionCache::CachedDecision cached;
+  if (options_.cache_enabled && cache_.Lookup(subject, node, modes, stamps, &cached)) {
+    decision.allowed = cached.allowed;
+    decision.reason = cached.reason;
+    decision.detail.clear();
+  } else {
+    // Miss path: compiled tables first (two lookups), interpreted walk only
+    // when they are stale or don't cover the input. A compiled decision is
+    // validated against stamps at least as fresh as the caller's, so
+    // inserting under the caller's (possibly older) stamps is at worst
+    // spuriously stale, never wrongly fresh.
+    if (!TryCompiledCheck(subject, node, modes, domain, &decision)) {
+      decision = CheckUncached(subject, node, modes);
+    }
+    if (options_.cache_enabled) {
       cache_.Insert(subject, node, modes, stamps,
                     DecisionCache::CachedDecision{decision.allowed, decision.reason},
                     clear_epoch);
     }
-  } else if (!TryCompiledCheck(subject, node, modes, domain, &decision)) {
-    decision = CheckUncached(subject, node, modes);
   }
   // After the cache on purpose: the cache keeps the underlying decision, the
-  // availability and lockdown overrides apply only to this call.
+  // availability and lockdown overrides apply only to this request.
   ApplyAuditAvailability(&decision);
   ApplyLockdown(&decision, modes);
+}
+
+Decision ReferenceMonitor::CheckUnsampled(const Subject& subject, NodeId node,
+                                          AccessModeSet modes) {
+  ShardId domain = DomainOf(node);
+  // The cache clear epoch and the stamps are read (acquire) BEFORE
+  // evaluating. If a store mutates mid-evaluation its bump lands after our
+  // loads, so the entry Decide inserts carries stamps that are already
+  // stale — a future probe re-evaluates. The race costs a redundant
+  // evaluation, never a wrong cached decision. The clear epoch makes the
+  // same argument against Clear(): an insert that raced a clear either
+  // lands before the wipe or refuses (see DecisionCache::Insert).
+  const bool use_cache = options_.cache_enabled;
+  const uint64_t clear_epoch = use_cache ? cache_.clear_epoch() : 0;
+  const CacheStamps stamps = use_cache ? CurrentStampsFor(domain) : CacheStamps{};
+  Decision decision;
+  Decide(subject, node, modes, domain, stamps, clear_epoch, &decision);
   Audit(subject, node, "", modes, decision);
   return decision;
 }
@@ -280,15 +289,15 @@ void ReferenceMonitor::CheckBatch(const BatchCheckRequest* requests, size_t n, D
     return;
   }
   // One clear-epoch read and at most one stamp read *per validity domain*
-  // per batch (a batch routed onto one monitor shard reads exactly one
-  // shard-local stamp set — the MediationRing's shard-affine routing exists
-  // to make that the common case). Sound for the same reason as the per-call
+  // per batch (a batch of requests on one monitor shard reads exactly one
+  // shard-local stamp set). Sound for the same reason as the per-call
   // read-stamps-then-evaluate order: a store mutating after this read bumps
   // its stamp, so entries inserted below carry stamps that are already
   // stale — a redundant future re-evaluation, never a wrong cached decision.
   uint64_t clear_epoch = options_.cache_enabled ? cache_.clear_epoch() : 0;
-  std::array<CacheStamps, kMonitorShardCount + 1> domain_stamps;
-  std::array<bool, kMonitorShardCount + 1> have_stamps{};
+  // Filled on a domain's first request; optional so a batch touching one
+  // domain initializes one entry, not all of them.
+  std::array<std::optional<CacheStamps>, kMonitorShardCount + 1> domain_stamps;
   MonitorStats::BatchCounts counts;
   std::vector<AuditRecord> pending;   // retained records awaiting one RecordBatch
   uint64_t counted_checks = 0;        // decisions the policy discards
@@ -304,33 +313,13 @@ void ReferenceMonitor::CheckBatch(const BatchCheckRequest* requests, size_t n, D
       pending.clear();
     }
     const BatchCheckRequest& req = requests[i];
-    Decision& decision = out[i];
     ShardId domain = DomainOf(req.node);
-    size_t di = IsConcreteShard(domain) ? domain : kMonitorShardCount;
-    shard_checks_.Add(di);
-    if (options_.cache_enabled) {
-      if (!have_stamps[di]) {
-        domain_stamps[di] = CurrentStampsFor(domain);
-        have_stamps[di] = true;
-      }
-      const CacheStamps& stamps = domain_stamps[di];
-      DecisionCache::CachedDecision cached;
-      if (cache_.Lookup(req.subject, req.node, req.modes, stamps, &cached)) {
-        decision = Decision{cached.allowed, cached.reason, ""};
-      } else {
-        if (!TryCompiledCheck(req.subject, req.node, req.modes, domain, &decision)) {
-          decision = CheckUncached(req.subject, req.node, req.modes);
-        }
-        cache_.Insert(req.subject, req.node, req.modes, stamps,
-                      DecisionCache::CachedDecision{decision.allowed, decision.reason},
-                      clear_epoch);
-      }
-    } else if (!TryCompiledCheck(req.subject, req.node, req.modes, domain, &decision)) {
-      decision = CheckUncached(req.subject, req.node, req.modes);
+    std::optional<CacheStamps>& stamps = domain_stamps[DomainIndex(domain)];
+    if (!stamps) {
+      stamps = options_.cache_enabled ? CurrentStampsFor(domain) : CacheStamps{};
     }
-    // After the cache, per request, like CheckUnsampled.
-    ApplyAuditAvailability(&decision);
-    ApplyLockdown(&decision, req.modes);
+    Decision& decision = out[i];
+    Decide(req.subject, req.node, req.modes, domain, *stamps, clear_epoch, &decision);
     if (options_.stats_enabled) {
       counts.Add(req.modes, decision.allowed ? DenyReason::kNone : decision.reason);
     }

@@ -118,7 +118,7 @@ class ReferenceMonitor {
   // Checks `modes` on an already-resolved node (no traversal checks).
   Decision Check(const Subject& subject, NodeId node, AccessModeSet modes);
 
-  // -- Batched checks (the mediation-ring worker path, MODEL.md §14) ---------
+  // -- Batched checks (MODEL.md §14) -----------------------------------------
 
   struct BatchCheckRequest {
     Subject subject;
@@ -127,11 +127,13 @@ class ReferenceMonitor {
   };
 
   // Decides `n` requests in one pass, writing out[i] for requests[i]. Each
-  // decision is semantically identical to Check() on the same request; what
-  // the batch amortizes is the bookkeeping around the decisions:
-  //   - the cache stamp vector is read once per batch (a policy mutation
-  //     mid-batch makes later inserts spuriously stale, never wrongly
-  //     fresh — the same one-sided race Check() already tolerates);
+  // decision comes from the same core as Check() (Decide), so it is
+  // semantically identical to Check() on the same request; what the batch
+  // amortizes is the bookkeeping around the decisions:
+  //   - the cache stamp vector of each validity domain is read at most once
+  //     per batch (a policy mutation mid-batch makes later inserts
+  //     spuriously stale, never wrongly fresh — the same one-sided race
+  //     Check() already tolerates);
   //   - MonitorStats lands as one striped-counter flush per batch
   //     (RecordBatch); batched checks are not latency-sampled;
   //   - retained audit records are sequence-stamped in one ring-mutex
@@ -141,7 +143,7 @@ class ReferenceMonitor {
   // request's cache step, and pending audit records are flushed before each
   // probe — so a sink trip caused by an earlier record in this very batch
   // denies every subsequent would-be allow, and the transient denial is
-  // never cached (satellite regression: RingFaultTest.MidBatchSinkTrip...).
+  // never cached (RingFaultTest.MidBatchSinkTripFailsClosedPerRequestNotPerBatch).
   void CheckBatch(const BatchCheckRequest* requests, size_t n, Decision* out);
 
   // Resolves `path` and checks; on success *resolved (if non-null) is set.
@@ -242,8 +244,8 @@ class ReferenceMonitor {
 
   // The validity domain used to stamp decisions about `node`: its monitor
   // shard, or kAggregateShard with shard_stamps off / for non-concrete
-  // shards (unknown node ids, the root). Lock-free. The mediation transport
-  // routes by this and the grant table gates on it.
+  // shards (unknown node ids, the root). Lock-free. CheckBatch reads each
+  // domain's stamps at most once per batch by it.
   ShardId DomainOf(NodeId node) const;
 
   // The stamp vector of one validity domain: the shard's own generations
@@ -284,7 +286,7 @@ class ReferenceMonitor {
   // domain: unknown nodes, the root, or all checks with shard_stamps off).
   // Feeds the /sys/monitor/shard/<i>/checks telemetry leaves.
   uint64_t shard_checks(ShardId shard) const {
-    return shard_checks_.Sum(IsConcreteShard(shard) ? shard : kMonitorShardCount);
+    return shard_checks_.Sum(DomainIndex(shard));
   }
 
   // The currently installed tables (null if none); for tests and stats.
@@ -313,7 +315,19 @@ class ReferenceMonitor {
 
  private:
   Decision CheckUncached(const Subject& subject, NodeId node, AccessModeSet modes) const;
-  // The check bodies, without latency sampling (the public wrappers add it).
+  // The one decision sequence every check runs, writing *out: cache probe,
+  // then compiled tables, then the interpreted walk (inserting the result
+  // under `stamps` and `clear_epoch`, which the caller read before calling),
+  // then the audit-availability and lockdown overrides. `domain` is
+  // DomainOf(node); `stamps` and `clear_epoch` are unused with the cache
+  // off. Counts the check per domain; records no audit and no stats — its
+  // two callers (CheckUnsampled, CheckBatch) do that bookkeeping, per call
+  // or per batch. Inline, and defined in reference_monitor.cc (its only
+  // user), so the per-call cached path pays no extra call.
+  inline void Decide(const Subject& subject, NodeId node, AccessModeSet modes, ShardId domain,
+                     const CacheStamps& stamps, uint64_t clear_epoch, Decision* out);
+  // The per-call path over Decide, without latency sampling (the public
+  // wrappers add it).
   Decision CheckUnsampled(const Subject& subject, NodeId node, AccessModeSet modes);
   Decision CheckPathUnsampled(const Subject& subject, std::string_view path,
                               AccessModeSet modes, NodeId* resolved);
@@ -393,6 +407,12 @@ class ReferenceMonitor {
   // class lands in a label or clearance.
   std::mutex recompile_exec_mu_;
   std::vector<SecurityClass> interned_extra_;
+
+  // Slot of a validity domain in per-domain arrays: its shard, or
+  // kMonitorShardCount for the aggregate domain.
+  static size_t DomainIndex(ShardId domain) {
+    return IsConcreteShard(domain) ? domain : kMonitorShardCount;
+  }
 
   // Bumped on every check, so striped per thread: a shared fetch_add here
   // is a cache line every checking thread writes.

@@ -144,9 +144,9 @@ StatusOr<std::string> HealthService::State(Subject& subject) {
   if (!decision.allowed) {
     return decision.ToStatus();
   }
-  return StrFormat("state %s\nquarantined %zu\nstuck_shards %zu\nlockdown %d\n",
+  return StrFormat("state %s\nquarantined %zu\nlockdown %d\n",
                    std::string(SystemHealthName(supervisor_->system_health())).c_str(),
-                   supervisor_->quarantined_count(), supervisor_->stuck_shards(),
+                   supervisor_->quarantined_count(),
                    supervisor_->system_health() == SystemHealth::kLockdown ? 1 : 0);
 }
 

@@ -10,7 +10,6 @@
 #include "src/base/failpoint.h"
 #include "src/base/strings.h"
 #include "src/extsys/supervisor.h"
-#include "src/monitor/mediation_ring.h"
 #include "src/naming/path.h"
 
 namespace xsec {
@@ -33,24 +32,6 @@ StatsService::~StatsService() {
   if (publisher_.joinable()) {
     publisher_.join();
   }
-}
-
-Status StatsService::MountRing(MediationRing* ring) {
-  auto count = [](uint64_t v) { return std::to_string(v); };
-  XSEC_RETURN_IF_ERROR(
-      MountLeaf("ring/shards", [ring, count] { return count(ring->shard_count()); }));
-  XSEC_RETURN_IF_ERROR(
-      MountLeaf("ring/depth", [ring, count] { return count(ring->depth()); }));
-  XSEC_RETURN_IF_ERROR(
-      MountLeaf("ring/batches", [ring, count] { return count(ring->batches()); }));
-  XSEC_RETURN_IF_ERROR(
-      MountLeaf("ring/submitted", [ring, count] { return count(ring->submitted()); }));
-  XSEC_RETURN_IF_ERROR(
-      MountLeaf("ring/completed", [ring, count] { return count(ring->completed()); }));
-  XSEC_RETURN_IF_ERROR(
-      MountLeaf("ring/stalls", [ring, count] { return count(ring->stalls()); }));
-  return MountLeaf("ring/grant_rejections",
-                   [ring, count] { return count(ring->grant_rejections()); });
 }
 
 Status StatsService::MountShards(ReferenceMonitor* monitor) {
@@ -77,22 +58,6 @@ Status StatsService::MountShards(ReferenceMonitor* monitor) {
   });
 }
 
-Status StatsService::MountGrants(ShardGrantTable* grants) {
-  auto count = [](uint64_t v) { return std::to_string(v); };
-  XSEC_RETURN_IF_ERROR(MountLeaf(
-      "shard/grants/count", [grants, count] { return count(grants->grant_count()); }));
-  XSEC_RETURN_IF_ERROR(MountLeaf(
-      "shard/grants/admitted", [grants, count] { return count(grants->admitted()); }));
-  XSEC_RETURN_IF_ERROR(MountLeaf(
-      "shard/grants/rejected", [grants, count] { return count(grants->rejected()); }));
-  XSEC_RETURN_IF_ERROR(MountLeaf("shard/grants/transfers_consumed", [grants, count] {
-    return count(grants->transfers_consumed());
-  }));
-  return MountLeaf("shard/grants/interned_names", [grants, count] {
-    return count(grants->interned_names());
-  });
-}
-
 Status StatsService::MountHealth(ExtensionSupervisor* supervisor) {
   auto count = [](uint64_t v) { return std::to_string(v); };
   XSEC_RETURN_IF_ERROR(MountLeaf("health/state", [supervisor] {
@@ -104,9 +69,6 @@ Status StatsService::MountHealth(ExtensionSupervisor* supervisor) {
   XSEC_RETURN_IF_ERROR(MountLeaf("health/lockdown", [supervisor] {
     return std::string(
         supervisor->system_health() == SystemHealth::kLockdown ? "1" : "0");
-  }));
-  XSEC_RETURN_IF_ERROR(MountLeaf("health/watchdog/stuck_shards", [supervisor, count] {
-    return count(supervisor->stuck_shards());
   }));
   // Per-extension leaves appear as names register (LoadExtension under a
   // supervised kernel registers automatically). The hook runs without

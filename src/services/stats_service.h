@@ -29,8 +29,6 @@
 //   /sys/monitor/audit/retained|dropped|sink_dropped
 //   /sys/monitor/audit/fanout/sinks|delivered|dropped|stitch_violations
 //                                        multi-sink fan-out plane (AuditLog)
-//   /sys/monitor/ring/shards|depth|batches|submitted|completed|stalls
-//                                        mediation-ring transport (MountRing)
 //   /sys/monitor/rate/checks_per_sec     windowed rate over published epochs
 //   /sys/monitor/rate/denials_per_sec
 //   /sys/monitor/subscribers/active      live subscription channels
@@ -86,9 +84,6 @@
 #include "src/monitor/monitor_stats.h"
 
 namespace xsec {
-
-class MediationRing;
-class ShardGrantTable;
 
 // What Tick() does when a subscriber's queue is full.
 enum class SubscriberBackpressure : uint8_t {
@@ -165,12 +160,6 @@ class StatsService {
   //   resume <token>         -> re-admits the token; returns a new handle.
   Status Install();
 
-  // Mounts the mediation-ring telemetry leaves
-  // (ring/shards|depth|batches|submitted|completed|stalls) for a transport
-  // the embedder created. Call after Install; the ring must outlive this
-  // service.
-  Status MountRing(MediationRing* ring);
-
   // Mounts the per-monitor-shard telemetry leaves
   // (shard/count and shard/<i>/checks|ns_gen|acl_gen|label_epoch for each
   // concrete shard, plus shard/aggregate/checks for the aggregate domain),
@@ -178,14 +167,8 @@ class StatsService {
   // Install; the monitor must outlive this service.
   Status MountShards(ReferenceMonitor* monitor);
 
-  // Mounts the cross-shard grant-table leaves
-  // (shard/grants/count|admitted|rejected|transfers_consumed|interned_names).
-  // Call after Install; the table must outlive this service.
-  Status MountGrants(ShardGrantTable* grants);
-
   // Mounts the supervision health leaves (MODEL.md §16):
-  // health/state|quarantined|lockdown, health/watchdog/stuck_shards, plus
-  // per-extension leaves health/ext/<name>/state|trips|timeouts|inflight,
+  // health/state|quarantined|lockdown, plus per-extension leaves health/ext/<name>/state|trips|timeouts|inflight,
   // mounted as names register via the supervisor's registration hook. Call
   // after Install; the supervisor must outlive this service.
   Status MountHealth(ExtensionSupervisor* supervisor);

@@ -342,15 +342,14 @@ TEST(DiffFuzz, CompiledNeverDivergesFromInterpreted) {
   EXPECT_GT(compiled_hits, 0u);
 }
 
-TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgree) {
-  // Equivalence oracle for the sharded validity domains (docs/MODEL.md §15):
-  // two monitors over the SAME stores — one with per-shard stamps, one on
-  // the legacy aggregate domain — must render identical decisions through
-  // their full pipelines (cache + compiled + interpreted) after every
-  // mutation. Sharding changes only *when* cached state is invalidated; any
-  // allowed/reason divergence means a shard kept a decision it should have
-  // dropped (or dropped one it could have kept AND re-derived it wrong).
-  const uint64_t seed = SeedFromEnv(0x5a4dedu);
+// Equivalence oracle for the sharded validity domains (docs/MODEL.md §15):
+// two monitors over the SAME stores — one with per-shard stamps, one on the
+// legacy aggregate domain — must render identical decisions through their
+// full pipelines (cache + compiled + interpreted) after every mutation.
+// Sharding changes only *when* cached state is invalidated; any
+// allowed/reason divergence means a shard kept a decision it should have
+// dropped (or dropped one it could have kept AND re-derived it wrong).
+void CheckShardedAgainstAggregate(uint64_t seed) {
   SCOPED_TRACE("XSEC_FAULT_SEED=" + std::to_string(seed));
   Rng rng(seed);
   FuzzTally tally;
@@ -367,6 +366,21 @@ TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgree) {
     aggregate.shard_stamps = false;
     ReferenceMonitor& shadow = world.ShadowMonitor(aggregate);
 
+    auto check_both = [&](const Subject& subject, NodeId node, AccessModeSet modes) {
+      Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
+      Decision with_shards = world.monitor().Check(subject, node, modes);
+      Decision without = shadow.Check(subject, node, modes);
+      ASSERT_EQ(with_shards.allowed, without.allowed)
+          << "sharded/aggregate divergence: node=" << node.value
+          << " principal=" << subject.principal.value << " modes=" << modes.ToString();
+      ASSERT_EQ(with_shards.reason, without.reason)
+          << "sharded/aggregate reason divergence: node=" << node.value
+          << " modes=" << modes.ToString();
+      ASSERT_EQ(with_shards.allowed, oracle.allowed) << "sharded monitor diverged from oracle";
+      ASSERT_EQ(with_shards.reason, oracle.reason);
+      ++tally.checks;
+    };
+
     for (size_t round = 0; round < rounds; ++round) {
       const size_t mutations = rng.NextBelow(4);
       for (size_t m = 0; m < mutations; ++m) {
@@ -378,29 +392,41 @@ TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgree) {
       if (rng.NextBool(1, 2)) {
         (void)shadow.RecompileNow();
       }
+      Subject subject;
+      NodeId node;
+      AccessModeSet modes;
       for (size_t i = 0; i < 256; ++i) {
-        Subject subject = world.RandomSubject();
-        NodeId node = world.RandomNode();
-        AccessModeSet modes = world.RandomModes();
-        Decision oracle = world.monitor().CheckInterpreted(subject, node, modes);
-        Decision with_shards = world.monitor().Check(subject, node, modes);
-        Decision without = shadow.Check(subject, node, modes);
-        ASSERT_EQ(with_shards.allowed, without.allowed)
-            << "sharded/aggregate divergence: node=" << node.value
-            << " principal=" << subject.principal.value << " modes=" << modes.ToString();
-        ASSERT_EQ(with_shards.reason, without.reason)
-            << "sharded/aggregate reason divergence: node=" << node.value
-            << " modes=" << modes.ToString();
-        ASSERT_EQ(with_shards.allowed, oracle.allowed) << "sharded monitor diverged from oracle";
-        ASSERT_EQ(with_shards.reason, oracle.reason);
-        ++tally.checks;
+        subject = world.RandomSubject();
+        node = world.RandomNode();
+        modes = world.RandomModes();
+        ASSERT_NO_FATAL_FAILURE(check_both(subject, node, modes));
       }
+      // Random tuples alone need not recur before the next mutation: in a
+      // world with many principals, classes and nodes a round can hold 256
+      // distinct tuples. So re-probe the round's last tuple with no mutation
+      // in between; the sharded monitor must answer it from its cache, or a
+      // stamp moved without a policy change.
+      const uint64_t hits_before = world.monitor().cache().hits();
+      ASSERT_NO_FATAL_FAILURE(check_both(subject, node, modes));
+      EXPECT_EQ(world.monitor().cache().hits(), hits_before + 1)
+          << "an unchanged policy missed the cache: node=" << node.value
+          << " modes=" << modes.ToString();
     }
     // The sharded monitor must actually have reused cached decisions —
     // otherwise the equivalence says nothing about shard-stamp validity.
     EXPECT_GT(world.monitor().cache().hits(), 0u);
   }
   EXPECT_GE(tally.checks, 9000u);
+}
+
+TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgree) {
+  CheckShardedAgainstAggregate(SeedFromEnv(0x5a4dedu));
+}
+
+// Fixed regression seed: the random probes of one of its worlds never hit
+// the cache, so that world's hits come only from the re-probes above.
+TEST(DiffFuzz, ShardedAndUnshardedMonitorsAgreeAtSeed780) {
+  CheckShardedAgainstAggregate(780);
 }
 
 TEST(DiffFuzz, MutationWithoutRecompileIsNeverServedStale) {

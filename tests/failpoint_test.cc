@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,14 +179,24 @@ TEST_F(FailpointTest, RegistryFindAndNames) {
 // either OK or the injected error, never a crash or a torn spec. Run under
 // TSan via ci/run_checks.sh --quick / --faults.
 TEST_F(FailpointTest, ArmDisarmRaceUnderEvaluation) {
+  constexpr int kHitters = 4;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> oks{0};
   std::atomic<uint64_t> errors{0};
+  // Counted down once by each hitter after its first evaluation. Under load
+  // the threads may start late, so the arm/disarm loop keeps racing until
+  // every hitter has evaluated at least once.
+  std::latch started(kHitters);
   std::vector<std::thread> hitters;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kHitters; ++t) {
     hitters.emplace_back([&] {
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         Status status = Hit("test.fp.race");
+        if (first) {
+          started.count_down();
+          first = false;
+        }
         if (status.ok()) {
           oks.fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -195,7 +206,7 @@ TEST_F(FailpointTest, ArmDisarmRaceUnderEvaluation) {
       }
     });
   }
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < 200 || !started.try_wait(); ++i) {
     ASSERT_TRUE(FailpointRegistry::Instance().Arm("test.fp.race", "error").ok());
     std::this_thread::yield();
     ASSERT_TRUE(FailpointRegistry::Instance().Arm("test.fp.race", "off").ok());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace xsec {
 namespace {
 
@@ -336,6 +338,34 @@ TEST_F(ReferenceMonitorTest, CachedAndUncachedAgree) {
       EXPECT_EQ(second.reason, reference.reason);
     }
   }
+}
+
+TEST_F(ReferenceMonitorTest, BatchSemanticsMatchPerCallAcrossOutcomes) {
+  // Drive CheckBatch directly with a mix of allow / DAC-deny / MAC-deny /
+  // not-found and hold it against Check on a twin monitor.
+  GrantOn(dir_, alice_, AccessMode::kRead | AccessMode::kWrite | AccessMode::kExecute);
+  ReferenceMonitor twin(&ns_, &acls_, &principals_, &labels_);
+  Subject alice_low = Bottom(alice_);
+  Subject bob_low = Bottom(bob_);
+  Subject alice_high = SubjectFor(alice_, Cls(1));
+  std::vector<ReferenceMonitor::BatchCheckRequest> requests = {
+      {alice_low, obj_, AccessModeSet(AccessMode::kRead)},
+      {bob_low, obj_, AccessModeSet(AccessMode::kRead)},
+      {alice_high, obj_, AccessModeSet(AccessMode::kWrite)},  // write-down: MAC denies
+      {alice_low, NodeId{999999}, AccessModeSet(AccessMode::kRead)},
+      {alice_low, obj_, AccessModeSet(AccessMode::kRead)},  // cached by now
+  };
+  std::vector<Decision> batched(requests.size());
+  monitor_->CheckBatch(requests.data(), requests.size(), batched.data());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Decision per_call = twin.Check(requests[i].subject, requests[i].node, requests[i].modes);
+    EXPECT_EQ(batched[i].allowed, per_call.allowed) << "request " << i;
+    EXPECT_EQ(batched[i].reason, per_call.reason) << "request " << i;
+  }
+  // The batch recorded exactly one decision per request in stats and audit.
+  EXPECT_EQ(monitor_->stats().checks_total(), requests.size());
+  EXPECT_EQ(monitor_->audit().total_checks(), requests.size());
+  EXPECT_EQ(monitor_->audit().total_denials(), 3u);
 }
 
 TEST_F(ReferenceMonitorTest, ExplainNamesTheDecidingFactors) {

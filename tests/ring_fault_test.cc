@@ -1,7 +1,7 @@
-// Fault sweeps for the mediation-ring transport and the data paths behind
-// it: the per-REQUEST fail-closed guarantee inside a batch (MODEL.md §12 +
-// §14), failpoint injection at the ring's admission gate, and the
-// memfs/vfs/NDJSON failure sites the transport's callers traverse.
+// Fault sweeps for batched checks and the data paths behind mediation: the
+// per-REQUEST fail-closed guarantee inside a CheckBatch (MODEL.md §12 +
+// §14), and the memfs/netstack/vfs/NDJSON failure sites a mediated call
+// traverses.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 
 #include "src/base/failpoint.h"
 #include "src/core/secure_system.h"
-#include "src/monitor/mediation_ring.h"
 
 namespace xsec {
 namespace {
@@ -47,7 +46,7 @@ ResilientSinkOptions HairTriggerSink() {
   return options;
 }
 
-// -- The ring's fail-closed and injection behaviour ---------------------------
+// -- Fail-closed audit inside one CheckBatch -----------------------------------
 
 class RingFaultTest : public ::testing::Test {
  protected:
@@ -149,45 +148,6 @@ TEST_F(RingFaultTest, AllAllowBatchUnderDenialsOnlyNeverTouchesTheSink) {
   }
   EXPECT_FALSE(sys_->monitor().audit().SinkTripped());
   EXPECT_EQ(sink->written() + sink->retries() + sink->gave_up(), 0u);
-}
-
-TEST_F(RingFaultTest, SubmitFailpointInjectsAdmissionErrors) {
-  MediationRing ring(&sys_->monitor());
-  auto client = ring.NewClient();
-  ASSERT_TRUE(FailpointRegistry::Instance()
-                  .Arm("ring.submit", "error=resource-exhausted,times=2")
-                  .ok());
-  EXPECT_EQ(ring.SubmitCheck(*client, alice_s_, f1_, AccessMode::kRead).status().code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(ring.SubmitCheck(*client, alice_s_, f1_, AccessMode::kRead).status().code(),
-            StatusCode::kResourceExhausted);
-  // times=2 exhausted: admissions flow again, nothing was queued meanwhile.
-  auto ticket = ring.SubmitCheck(*client, alice_s_, f1_, AccessMode::kRead);
-  ASSERT_TRUE(ticket.ok());
-  auto completion = ring.Wait(*client, *ticket);
-  ASSERT_TRUE(completion.ok());
-  EXPECT_TRUE(completion->decision.allowed);
-  EXPECT_EQ(ring.submitted(), 1u);
-}
-
-TEST_F(RingFaultTest, RingDeliversFailClosedDecisions) {
-  auto sink = InstallSink();
-  AuditLog& audit = sys_->monitor().audit();
-  // Trip the circuit through the per-call path first.
-  ASSERT_TRUE(FailpointRegistry::Instance().Arm("audit.sink.write", "error").ok());
-  (void)sys_->monitor().Check(bob_s_, f1_, AccessMode::kRead);
-  ASSERT_TRUE(audit.SinkTripped());
-
-  // A would-be allow submitted over the ring comes back as the same
-  // fail-closed denial the per-call path produces.
-  MediationRing ring(&sys_->monitor());
-  auto client = ring.NewClient();
-  auto ticket = ring.SubmitCheck(*client, alice_s_, f1_, AccessMode::kRead);
-  ASSERT_TRUE(ticket.ok());
-  auto completion = ring.Wait(*client, *ticket);
-  ASSERT_TRUE(completion.ok());
-  EXPECT_FALSE(completion->decision.allowed);
-  EXPECT_EQ(completion->decision.reason, DenyReason::kAuditUnavailable);
 }
 
 // -- Failpoints in the I/O data paths (memfs, vfs, NDJSON export) -------------

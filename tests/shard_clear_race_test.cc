@@ -1,14 +1,14 @@
-// Regression tests for the Clear()/in-flight-check race (ISSUE 8, satellite):
-// a CheckBatch (or single check) that captured its stamps before a
-// DecisionCache::Clear() must not be able to re-insert its pre-clear decision
-// afterwards. Clear() bumps clear_epoch_ BEFORE wiping, and the epoch-carrying
-// Insert refuses under the shard lock when the epoch moved — so a stale
-// insert either lands before the wipe (and is wiped) or refuses. Both
-// interleavings leave the cache empty of pre-clear decisions, which makes the
-// property deterministically testable despite the race.
+// Regression tests for the Clear()/in-flight-check race: a CheckBatch (or
+// single check) that captured its stamps before a DecisionCache::Clear()
+// must not be able to re-insert its pre-clear decision afterwards. Clear()
+// bumps clear_epoch_ BEFORE wiping, and the epoch-carrying Insert refuses
+// under the shard lock when the epoch moved — so a stale insert either lands
+// before the wipe (and is wiped) or refuses. Both interleavings leave the
+// cache empty of pre-clear decisions, which makes the property
+// deterministically testable despite the race.
 //
-// This file rides in xsec_ring_tests alongside mediation_ring_test.cc so the
-// sanitizer jobs (TSan in particular) run the concurrent hammer.
+// The --quick and --faults sanitizer sweeps (ci/run_checks.sh) run this
+// file's concurrent hammers: ctest -R ShardClearRace.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/monitor/decision_cache.h"
-#include "src/monitor/mediation_ring.h"
 #include "src/monitor/reference_monitor.h"
 
 namespace xsec {
@@ -81,12 +80,13 @@ TEST(ShardClearRaceTest, ClearRacingInsertNeverResurrectsPreClearDecision) {
   }
 }
 
-// The end-to-end shape the fix exists for: CheckBatch captures its stamp set
-// and clear epoch once at batch start; a concurrent Clear() plus ACL
-// tightening must not let the batch re-install its pre-clear allows. The
-// hammer runs ring submissions against cache clears and policy mutations,
-// then proves quiescent agreement with the final (deny) policy.
-TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
+// The end-to-end shape the fix exists for: CheckBatch captures its clear
+// epoch once at batch start and each domain's stamps at most once per batch;
+// a concurrent Clear() plus ACL tightening must not let the batch re-install
+// its pre-clear allows. The hammer runs batches from several threads against
+// cache clears and policy mutations, then proves quiescent agreement with
+// the final (deny) policy.
+TEST(ShardClearRaceTest, BatchesRacingClearConvergeOnFinalPolicy) {
   NameSpace ns;
   AclStore acls;
   PrincipalRegistry principals;
@@ -97,6 +97,7 @@ TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
 
   PrincipalId user = *principals.CreateUser("u");
   constexpr int kNodes = 8;
+  constexpr size_t kBatch = 16;
   std::vector<NodeId> nodes;
   std::vector<AclStore::AclRef> refs;
   for (int i = 0; i < kNodes; ++i) {
@@ -109,24 +110,19 @@ TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
     refs.push_back(ref);
   }
 
-  MediationRingOptions options;
-  options.shards = 2;
-  MediationRing ring(&monitor, options);
-
   std::atomic<bool> stop{false};
-  std::vector<std::thread> clients;
+  std::vector<std::thread> checkers;
   for (int t = 0; t < 3; ++t) {
-    clients.emplace_back([&, t] {
-      auto client = ring.NewClient();
+    checkers.emplace_back([&, t] {
+      std::vector<ReferenceMonitor::BatchCheckRequest> batch(kBatch);
+      std::vector<Decision> out(kBatch);
       uint64_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        NodeId node = nodes[(i + t) % kNodes];
-        auto ticket =
-            ring.SubmitCheck(*client, TestSubject(user, t + 1), node, AccessMode::kRead);
-        if (ticket.ok()) {
-          (void)ring.Wait(*client, *ticket);
+        for (ReferenceMonitor::BatchCheckRequest& req : batch) {
+          req = {TestSubject(user, t + 1), nodes[(i++ + t) % kNodes],
+                 AccessModeSet(AccessMode::kRead)};
         }
-        ++i;
+        monitor.CheckBatch(batch.data(), batch.size(), out.data());
       }
     });
   }
@@ -145,7 +141,7 @@ TEST(ShardClearRaceTest, RingBatchesRacingClearConvergeOnFinalPolicy) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop.store(true, std::memory_order_release);
-  for (std::thread& t : clients) {
+  for (std::thread& t : checkers) {
     t.join();
   }
   clearer.join();

@@ -1,21 +1,16 @@
 // Sharded stamp domains (docs/MODEL.md §15): shard assignment and
 // inheritance, per-shard generation bumps, cross-shard cache/compiled
-// isolation, the domain field's anti-aliasing role, shard-local interning,
-// and the cross-shard grant table + mediation-ring submit gate.
+// isolation, the domain field's anti-aliasing role, and shard-local ACL
+// interning.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/shard.h"
-#include "src/monitor/mediation_ring.h"
 #include "src/monitor/reference_monitor.h"
-#include "src/monitor/shard_grant.h"
-#include "src/principal/intern_pool.h"
 
 namespace xsec {
 namespace {
@@ -250,36 +245,6 @@ TEST(ShardStampsTest, BindPathIntermediatesInheritEnclosingOwner) {
 // ---------------------------------------------------------------------------
 // Shard-local interning.
 
-TEST(ShardInternTest, PrincipalInternPoolDedupsIntoDenseIds) {
-  PrincipalInternPool pool;
-  uint32_t a = pool.Intern("alice");
-  uint32_t b = pool.Intern("bob");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(pool.Intern("alice"), a);
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.NameOf(a), "alice");
-  EXPECT_EQ(pool.NameOf(b), "bob");
-  EXPECT_EQ(pool.Find("bob"), b);
-  EXPECT_EQ(pool.Find("carol"), UINT32_MAX);
-  EXPECT_EQ(pool.NameOf(99), std::string_view());
-}
-
-TEST(ShardInternTest, NameArenaViewsStayStableAcrossChunkGrowth) {
-  PrincipalInternPool pool;
-  std::vector<uint32_t> ids;
-  // Enough bytes to cross several 64KB chunks; every earlier view must
-  // survive later growth (that is the arena's whole contract).
-  for (int i = 0; i < 5000; ++i) {
-    ids.push_back(pool.Intern("principal-" + std::to_string(i) + std::string(32, 'x')));
-  }
-  // An oversized name gets a dedicated chunk without corrupting packing.
-  uint32_t big = pool.Intern(std::string(200 * 1024, 'y'));
-  EXPECT_EQ(pool.NameOf(ids[0]), "principal-0" + std::string(32, 'x'));
-  EXPECT_EQ(pool.NameOf(ids[4999]), "principal-4999" + std::string(32, 'x'));
-  EXPECT_EQ(pool.NameOf(big).size(), 200u * 1024);
-  EXPECT_EQ(pool.size(), 5001u);
-}
-
 TEST(ShardInternTest, AclStoreSharesIdenticalEntryListsWithinShard) {
   AclStore acls;
   auto make = [] {
@@ -303,150 +268,6 @@ TEST(ShardInternTest, AclStoreSharesIdenticalEntryListsWithinShard) {
   // Different shard pools intern independently (no cross-shard sharing).
   AclStore::AclRef r3 = acls.Create(make(), ShardId{4});
   EXPECT_NE(acls.Get(r1)->shared_entries(), acls.Get(r3)->shared_entries());
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard grants and the mediation-ring submit gate.
-
-TEST(ShardGrantTest, GrantAdmitRevokeAndOneShotTransfer) {
-  ShardGrantTable grants;
-  PrincipalId p{11};
-  NodeId node{5};
-
-  EXPECT_FALSE(grants.Admit(p, node, 3));
-  EXPECT_EQ(grants.rejected(), 1u);
-
-  grants.Grant(p, "p", node, 3);
-  EXPECT_TRUE(grants.Admit(p, node, 3));
-  EXPECT_TRUE(grants.Admit(p, node, 3));  // persistent: admits repeatedly
-  EXPECT_EQ(grants.admitted(), 2u);
-  // A grant is per (grantee, node, shard) — not per grantee.
-  EXPECT_FALSE(grants.Admit(p, NodeId{6}, 3));
-  EXPECT_FALSE(grants.Admit(PrincipalId{12}, node, 3));
-
-  grants.Revoke(p, node, 3);
-  EXPECT_FALSE(grants.Admit(p, node, 3));
-
-  // One-shot: a transfer is consumed by its first admission.
-  grants.Grant(p, "p", node, 3, /*one_shot=*/true);
-  EXPECT_TRUE(grants.Admit(p, node, 3));
-  EXPECT_FALSE(grants.Admit(p, node, 3));
-  EXPECT_EQ(grants.transfers_consumed(), 1u);
-
-  // Non-concrete shards have no cross-shard boundary.
-  EXPECT_TRUE(grants.Admit(p, node, kAggregateShard));
-  EXPECT_EQ(grants.interned_names(), 1u);
-}
-
-// A one-shot transfer is consumed atomically: when many threads race to
-// admit through the same transfer, exactly one wins and the consumption
-// counter moves exactly once — repeated over many rounds to shake out
-// check-then-consume windows in the slice locking.
-TEST(ShardGrantTest, OneShotTransferAdmitsExactlyOnceUnderContention) {
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 50;
-  ShardGrantTable grants;
-  PrincipalId p{21};
-  NodeId node{7};
-
-  for (int round = 0; round < kRounds; ++round) {
-    grants.Grant(p, "racer", node, 3, /*one_shot=*/true);
-
-    std::atomic<int> start_gate{0};
-    std::atomic<int> admitted{0};
-    std::vector<std::thread> racers;
-    racers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      racers.emplace_back([&] {
-        start_gate.fetch_add(1);
-        while (start_gate.load() < kThreads) {
-          // spin: release all racers into Admit together
-        }
-        if (grants.Admit(p, node, 3)) {
-          admitted.fetch_add(1);
-        }
-      });
-    }
-    for (auto& racer : racers) {
-      racer.join();
-    }
-
-    ASSERT_EQ(admitted.load(), 1) << "round " << round;
-    // The transfer is gone: a straggler cannot reuse it.
-    EXPECT_FALSE(grants.Admit(p, node, 3));
-    EXPECT_EQ(grants.transfers_consumed(), static_cast<uint64_t>(round + 1));
-  }
-}
-
-TEST(ShardGrantTest, RingRejectsCrossShardSubmitWithoutGrant) {
-  NameSpace ns;
-  AclStore acls;
-  PrincipalRegistry principals;
-  LabelAuthority labels;
-  MonitorOptions moptions;
-  moptions.audit_policy = AuditPolicy::kOff;
-  ReferenceMonitor monitor(&ns, &acls, &principals, &labels, moptions);
-
-  NodeId node = *ns.BindPath("/t0/obj", NodeKind::kObject, PrincipalId{1});
-  ShardId node_shard = ns.ShardOf(node);
-  Acl acl;
-
-  // One principal homed in the node's shard, one homed elsewhere.
-  PrincipalId same{}, cross{};
-  for (int i = 0; i < 512 && !(same.valid() && cross.valid()); ++i) {
-    PrincipalId p = *principals.CreateUser("u" + std::to_string(i));
-    if (ShardOfPrincipal(p.value) == node_shard) {
-      if (!same.valid()) same = p;
-    } else if (!cross.valid()) {
-      cross = p;
-    }
-  }
-  ASSERT_TRUE(same.valid());
-  ASSERT_TRUE(cross.valid());
-  acl.AddEntry({AclEntryType::kAllow, same, AccessModeSet(AccessMode::kRead)});
-  acl.AddEntry({AclEntryType::kAllow, cross, AccessModeSet(AccessMode::kRead)});
-  (void)ns.SetAclRef(node, acls.Create(std::move(acl), node_shard));
-
-  ShardGrantTable grants;
-  MediationRingOptions options;
-  options.shards = 2;
-  options.route_by_monitor_shard = true;
-  options.grants = &grants;
-  MediationRing ring(&monitor, options);
-  auto client = ring.NewClient();
-
-  // Same-shard submissions need no grant.
-  Subject same_subject{same, labels.Bottom(), 1};
-  auto ok = ring.SubmitCheck(*client, same_subject, node, AccessMode::kRead);
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  auto done = ring.Wait(*client, *ok);
-  ASSERT_TRUE(done.ok());
-  EXPECT_TRUE(done->decision.allowed);
-
-  // Cross-shard without a grant fails fast at submit, pre-batch.
-  Subject cross_subject{cross, labels.Bottom(), 2};
-  auto denied = ring.SubmitCheck(*client, cross_subject, node, AccessMode::kRead);
-  ASSERT_FALSE(denied.ok());
-  EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
-  EXPECT_EQ(ring.grant_rejections(), 1u);
-
-  // Granted: admitted, and the DAC/MAC check still runs (and allows here).
-  grants.Grant(cross, "cross", node, node_shard);
-  auto granted = ring.SubmitCheck(*client, cross_subject, node, AccessMode::kRead);
-  ASSERT_TRUE(granted.ok()) << granted.status().ToString();
-  done = ring.Wait(*client, *granted);
-  ASSERT_TRUE(done.ok());
-  EXPECT_TRUE(done->decision.allowed);
-
-  // A grant admits; it never widens policy. No ACL entry -> still denied.
-  NodeId locked = *ns.BindPath("/t0/locked", NodeKind::kObject, PrincipalId{1});
-  (void)ns.SetAclRef(locked, acls.Create(Acl(), ns.ShardOf(locked)));
-  grants.Grant(cross, "cross", locked, ns.ShardOf(locked));
-  auto admitted = ring.SubmitCheck(*client, cross_subject, locked, AccessMode::kRead);
-  ASSERT_TRUE(admitted.ok());
-  done = ring.Wait(*client, *admitted);
-  ASSERT_TRUE(done.ok());
-  EXPECT_FALSE(done->decision.allowed);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Extension supervision (docs/MODEL.md §16): budgets, circuit breakers,
 // audited quarantine, the mediated /svc/health control plane, the monitor
-// health state machine, nested-invoke deadline inheritance, and the ring
-// watchdog's heartbeat contract.
+// health state machine, and nested-invoke deadline inheritance.
 
 #include "src/extsys/supervisor.h"
 
@@ -15,7 +14,6 @@
 
 #include "src/base/failpoint.h"
 #include "src/core/secure_system.h"
-#include "src/monitor/mediation_ring.h"
 
 namespace xsec {
 namespace {
@@ -505,122 +503,6 @@ TEST_F(SupervisorTest, NestedInvokeInheritsTheParentCancelFlag) {
   cancel.store(true);
   auto cancelled = sys_->Invoke(dev_s_, "/svc/nest/outer-cancel", {}, options);
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
-}
-
-// -- The ring watchdog and the fail-fast admission gate -----------------------
-
-class WatchdogTest : public ::testing::Test {
- protected:
-  WatchdogTest() {
-    sys_ = std::make_unique<SecureSystem>();
-    SupervisorOptions options;
-    options.stuck_after_ns = 100'000'000;       // 100 ms
-    options.watchdog_interval_ns = 10'000'000'000;  // deterministic: we scan by hand
-    auto supervisor = sys_->EnableSupervision(options);
-    EXPECT_TRUE(supervisor.ok());
-    supervisor_ = *supervisor;
-    alice_ = *sys_->CreateUser("alice");
-    alice_s_ = sys_->Login(alice_, sys_->labels().Bottom());
-    obj_ = *sys_->name_space().BindPath("/fs/watch/obj", NodeKind::kFile,
-                                        sys_->system_principal());
-    Acl acl;
-    acl.AddEntry({AclEntryType::kAllow, alice_, AccessModeSet(AccessMode::kRead)});
-    (void)sys_->name_space().SetAclRef(obj_, sys_->kernel().acls().Create(std::move(acl)));
-  }
-
-  void TearDown() override { FailpointRegistry::Instance().DisarmAll(); }
-
-  MediationRingOptions RingOptions() {
-    MediationRingOptions options;
-    options.shards = 1;
-    options.batch_max = 1;
-    return options;
-  }
-
-  std::unique_ptr<SecureSystem> sys_;
-  ExtensionSupervisor* supervisor_ = nullptr;
-  PrincipalId alice_;
-  Subject alice_s_;
-  NodeId obj_;
-};
-
-// The pinned heartbeat contract: heartbeats are stamped at BATCH boundaries
-// and "stuck" means ONE batch in flight past stuck_after_ns. A worker that is
-// slow but completing batches (each under the bound) must never be declared
-// stuck, no matter how long the backlog takes in total.
-TEST_F(WatchdogTest, SlowButProgressingBatchIsNotStuck) {
-  MediationRing ring(&sys_->monitor(), RingOptions());
-  supervisor_->WatchRing(&ring);
-  // 8 batches x 20ms each: total work (~160ms) exceeds stuck_after (100ms),
-  // but every single batch finishes well under the bound.
-  ASSERT_TRUE(FailpointRegistry::Instance().Arm("ring.worker.0.batch", "sleep=20ms").ok());
-
-  auto client = ring.NewClient();
-  std::vector<uint64_t> tickets;
-  for (int i = 0; i < 8; ++i) {
-    auto ticket = ring.SubmitCheck(*client, alice_s_, obj_, AccessMode::kRead);
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
-  }
-  // Scan continuously while the backlog drains.
-  for (uint64_t ticket : tickets) {
-    supervisor_->RunWatchdogOnce();
-    EXPECT_EQ(supervisor_->stuck_shards(), 0u);
-    ASSERT_TRUE(ring.Wait(*client, ticket).ok());
-  }
-  supervisor_->RunWatchdogOnce();
-  EXPECT_EQ(supervisor_->stuck_shards(), 0u);
-  EXPECT_EQ(supervisor_->system_health(), SystemHealth::kHealthy);
-}
-
-TEST_F(WatchdogTest, WedgedBatchIsDeclaredStuckAndDegradesHealth) {
-  MediationRing ring(&sys_->monitor(), RingOptions());
-  supervisor_->WatchRing(&ring);
-  // One batch wedged for 400ms against a 100ms bound.
-  ASSERT_TRUE(
-      FailpointRegistry::Instance().Arm("ring.worker.0.batch", "sleep=400ms,times=1").ok());
-
-  auto client = ring.NewClient();
-  auto ticket = ring.SubmitCheck(*client, alice_s_, obj_, AccessMode::kRead);
-  ASSERT_TRUE(ticket.ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  supervisor_->RunWatchdogOnce();
-  EXPECT_EQ(supervisor_->stuck_shards(), 1u);
-  EXPECT_EQ(supervisor_->system_health(), SystemHealth::kDegraded);
-
-  // The batch eventually completes; the next scan clears the verdict.
-  ASSERT_TRUE(ring.Wait(*client, *ticket).ok());
-  supervisor_->RunWatchdogOnce();
-  EXPECT_EQ(supervisor_->stuck_shards(), 0u);
-  EXPECT_EQ(supervisor_->system_health(), SystemHealth::kHealthy);
-}
-
-TEST_F(WatchdogTest, QuarantinedTargetFailsFastAtTheRingGateWithoutCredits) {
-  MediationRingOptions options = RingOptions();
-  options.admission_gate = [this](const Subject& subject, NodeId node) {
-    return supervisor_->FastFail(subject, node);
-  };
-  MediationRing ring(&sys_->monitor(), options);
-
-  ExtensionBudget budget;
-  budget.probe_after_ns = 1'000'000'000;  // no probe during this test
-  supervisor_->Register("ring-victim", obj_, budget);
-  ASSERT_TRUE(supervisor_->Quarantine("ring-victim", "test").ok());
-
-  auto client = ring.NewClient();
-  auto rejected = ring.SubmitCheck(*client, alice_s_, obj_, AccessMode::kRead);
-  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(ring.gate_rejections(), 1u);
-  EXPECT_EQ(ring.submitted(), 0u);  // no ring credit was consumed
-  EXPECT_GE(supervisor_->Snapshot("ring-victim")->rejected, 1u);
-
-  // Releasing restores the transport path end to end.
-  ASSERT_TRUE(supervisor_->Release("ring-victim", "test").ok());
-  auto ticket = ring.SubmitCheck(*client, alice_s_, obj_, AccessMode::kRead);
-  ASSERT_TRUE(ticket.ok());
-  auto completion = ring.Wait(*client, *ticket);
-  ASSERT_TRUE(completion.ok());
-  EXPECT_TRUE(completion->decision.allowed);
 }
 
 }  // namespace

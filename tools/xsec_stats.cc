@@ -4,7 +4,7 @@
 //   xsec_stats [--policy <file>] [--checks N] [--seed S] [--ndjson <file|->]
 //              [--ndjson-max-bytes B] [--ndjson-max-age-ms M] [--ndjson-keep K]
 //              [--audit-drain] [--resilient] [--audit-required] [--snapshot]
-//              [--ring <shards>] [--fanout <sinks>] [--health]
+//              [--fanout <sinks>] [--health]
 //              [--fail <name>=<spec>]...
 //
 // Boots a SecureSystem, optionally applies a policy file, runs a
@@ -26,13 +26,6 @@
 // --audit-required turns on fail-closed mode — together with
 // --fail audit.sink.write=error they drive the whole self-healing pipeline
 // from the command line.
-//
-// --ring <shards> routes the workload's leaf checks through a MediationRing
-// (the shared-ring batched transport) instead of direct CheckPath calls, and
-// mounts its telemetry so the printed tree gains the
-// /sys/monitor/ring/{shards,depth,batches,submitted,completed,stalls}
-// leaves. Ring mode checks the pre-resolved leaf node (no per-call
-// traversal), so the checks/total arithmetic differs from direct mode.
 //
 // --fanout <sinks> registers that many in-memory ring lanes on the audit
 // fan-out plane (AuditLog::AddSink + StartFanOut) and drains them in
@@ -73,7 +66,6 @@
 
 #include "src/base/rng.h"
 #include "src/core/secure_system.h"
-#include "src/monitor/mediation_ring.h"
 #include "src/policy/policy_io.h"
 
 namespace {
@@ -93,7 +85,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> fail_specs;
   xsec::NdjsonRotationPolicy rotation;
   bool snapshot = false;
-  uint64_t ring_shards = 0;  // 0 = direct CheckPath calls, no ring
   uint64_t fanout_sinks = 0;  // 0 = fan-out plane off
   bool audit_drain = false;
   bool resilient = false;
@@ -136,11 +127,6 @@ int main(int argc, char** argv) {
       snapshot = true;
     } else if (arg == "--health") {
       health = true;
-    } else if (arg == "--ring") {
-      const char* v = next();
-      if (v == nullptr) return Fail("--ring needs a shard count");
-      ring_shards = std::strtoull(v, nullptr, 10);
-      if (ring_shards == 0) return Fail("--ring needs at least one shard");
     } else if (arg == "--fanout") {
       const char* v = next();
       if (v == nullptr) return Fail("--fanout needs a sink count");
@@ -160,7 +146,7 @@ int main(int argc, char** argv) {
                    "[--ndjson <file|->] [--ndjson-max-bytes B] "
                    "[--ndjson-max-age-ms M] [--ndjson-keep K] [--audit-drain] "
                    "[--resilient] [--audit-required] [--snapshot] "
-                   "[--ring <shards>] [--fanout <sinks>] [--health] "
+                   "[--fanout <sinks>] [--health] "
                    "[--fail <name>=<spec>]...\n");
       return arg == "--help" ? 0 : 1;
     }
@@ -254,7 +240,6 @@ int main(int argc, char** argv) {
   auto outsider = sys.CreateUser("outsider");
   if (!reader.ok() || !outsider.ok()) return Fail("boot world setup failed");
   std::vector<std::string> paths;
-  std::vector<xsec::NodeId> nodes;
   for (int i = 0; i < 8; ++i) {
     std::string path = "/fs/w" + std::to_string(i);
     auto node = sys.name_space().BindPath(path, xsec::NodeKind::kFile,
@@ -265,14 +250,12 @@ int main(int argc, char** argv) {
                   xsec::AccessMode::kRead | xsec::AccessMode::kWrite});
     (void)sys.name_space().SetAclRef(*node, sys.kernel().acls().Create(std::move(acl)));
     paths.push_back(std::move(path));
-    nodes.push_back(*node);
   }
   auto secret = sys.name_space().BindPath("/fs/secret", xsec::NodeKind::kFile,
                                           sys.system_principal());
   if (!secret.ok()) return Fail("boot world setup failed");
   (void)sys.name_space().SetAclRef(*secret, sys.kernel().acls().Create(xsec::Acl()));
   paths.push_back("/fs/secret");
-  nodes.push_back(*secret);
 
   xsec::Subject reader_s = sys.Login(*reader, sys.labels().Bottom());
   xsec::Subject outsider_s = sys.Login(*outsider, sys.labels().Bottom());
@@ -338,8 +321,7 @@ int main(int argc, char** argv) {
     fail_names.push_back(std::move(name));
   }
 
-  // Per-shard stamp-domain telemetry (/sys/monitor/shard/<i>/*) is always
-  // live — the shard counters exist whether or not the ring is in play.
+  // Per-shard stamp-domain telemetry (/sys/monitor/shard/<i>/*).
   xsec::Status shards_mounted = sys.stats().MountShards(&sys.monitor());
   if (!shards_mounted.ok()) {
     std::fprintf(stderr, "xsec_stats: %s\n", shards_mounted.ToString().c_str());
@@ -348,53 +330,13 @@ int main(int argc, char** argv) {
 
   sys.stats().Tick();  // publish the boot-time baseline before the workload
 
-  // In ring mode the same seeded workload submits through the shared-ring
-  // transport (waiting each completion — the point here is to light up the
-  // transport and its telemetry, not to saturate it) against pre-resolved
-  // leaf nodes; direct mode path-checks as before.
-  std::unique_ptr<xsec::MediationRing> ring;
-  std::unique_ptr<xsec::MediationRing::Client> ring_client;
-  xsec::ShardGrantTable grants;
-  if (ring_shards > 0) {
-    // Ring mode drives the full sharded transport: submissions route onto
-    // the target's monitor shard and cross-shard subjects need admission
-    // grants, so pre-grant both workload users for every leaf (MODEL.md
-    // §15) — rejections would otherwise show up as submit failures here.
-    for (xsec::NodeId node : nodes) {
-      xsec::ShardId shard = sys.name_space().ShardOf(node);
-      grants.Grant(*reader, "reader", node, shard);
-      grants.Grant(*outsider, "outsider", node, shard);
-    }
-    xsec::MediationRingOptions ring_options;
-    ring_options.shards = ring_shards;
-    ring_options.route_by_monitor_shard = true;
-    ring_options.grants = &grants;
-    ring = std::make_unique<xsec::MediationRing>(&sys.monitor(), ring_options);
-    xsec::Status mounted = sys.stats().MountRing(ring.get());
-    if (mounted.ok()) {
-      mounted = sys.stats().MountGrants(&grants);
-    }
-    if (!mounted.ok()) {
-      std::fprintf(stderr, "xsec_stats: %s\n", mounted.ToString().c_str());
-      return 1;
-    }
-    ring_client = ring->NewClient();
-  }
-
   xsec::Rng rng(seed);
   for (uint64_t i = 0; i < checks; ++i) {
     xsec::Subject& subject = rng.NextBool(1, 2) ? reader_s : outsider_s;
     size_t target = rng.NextBelow(paths.size());
     xsec::AccessMode mode = rng.NextBool(1, 4) ? xsec::AccessMode::kWrite
                                                : xsec::AccessMode::kRead;
-    if (ring != nullptr) {
-      auto ticket = ring->SubmitCheck(*ring_client, subject, nodes[target], mode);
-      if (ticket.ok()) {
-        (void)ring->Wait(*ring_client, *ticket);
-      }
-    } else {
-      (void)sys.monitor().CheckPath(subject, paths[target], mode);
-    }
+    (void)sys.monitor().CheckPath(subject, paths[target], mode);
   }
 
   if (audit_drain) {
@@ -436,10 +378,9 @@ int main(int argc, char** argv) {
     }
   }
   if (supervisor != nullptr) {
-    std::fprintf(stdout, "health system %s quarantined=%llu stuck_shards=%llu\n",
+    std::fprintf(stdout, "health system %s quarantined=%llu\n",
                  std::string(xsec::SystemHealthName(supervisor->system_health())).c_str(),
-                 static_cast<unsigned long long>(supervisor->quarantined_count()),
-                 static_cast<unsigned long long>(supervisor->stuck_shards()));
+                 static_cast<unsigned long long>(supervisor->quarantined_count()));
     for (const xsec::ExtensionSupervisor::ExtSnapshot& snap : supervisor->SnapshotAll()) {
       std::fprintf(stdout,
                    "health ext %s %s invokes=%llu failures=%llu timeouts=%llu "
